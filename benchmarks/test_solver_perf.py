@@ -8,10 +8,9 @@ benchmark:
 * **new** — one incremental solver across all rounds (watched literals,
   Luby restarts, phase saving, ladder assumptions, learned-clause reuse).
 
-plus a third **portfolio** run through the cube-and-conquer racing layer
-(``solve_constraints_portfolio``: sequential replica + genval rung
-probes + rf-prefix cubes + diversified solvers with learned-clause
-exchange).
+plus a third **portfolio** run that races the ladder against one
+generate-and-validate probe per rung (``solve_constraints_portfolio``:
+a sequential ladder replica + genval rung probes).
 
 All runs share the encoder's stable atom numbering and the same
 per-round iteration budget, so the comparison isolates the solver core
@@ -88,6 +87,7 @@ def test_solver_perf_row(name):
         max_seconds=MAX_SECONDS,
     )
     assert port.ok, port.reason
+    assert port.portfolio["winner_kind"] in {"seq", "genval"}, name
     # Bound quality: when both paths prove their bound (every lower
     # round exhausted rather than budget-cut) they must agree exactly;
     # under budget truncation the incremental path may not be worse.
@@ -132,7 +132,7 @@ def test_solver_perf_render():
     lines = [
         "Solver hot path: old (fresh reference CDCL per round) vs new "
         "(incremental CDCL, ladder assumptions) vs portfolio "
-        "(cube-and-conquer racing, %d workers)" % PORTFOLIO_WORKERS,
+        "(ladder + genval rung probes, %d workers)" % PORTFOLIO_WORKERS,
         "max_cs=%d  per-round budget=2000 iterations" % MAX_CS,
         "",
         "%-10s %10s %10s %8s %10s %8s %6s %6s %7s  %s"

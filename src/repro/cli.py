@@ -255,23 +255,17 @@ def cmd_reproduce(args):
     portfolio = detail.get("portfolio")
     if portfolio:
         print(
-            "portfolio    : winner %s (%s), %d workers / %d tasks, "
-            "%d cubes (%d solved)"
+            "portfolio    : winner %s (%s), %d workers / %d tasks"
             % (
                 portfolio.get("winner") or "-",
                 portfolio.get("winner_kind") or "-",
                 portfolio.get("workers", 0),
                 portfolio.get("tasks", 0),
-                portfolio.get("cubes", 0),
-                portfolio.get("cubes_solved", 0),
             )
         )
         print(
-            "  clauses exported %d / imported %d, rungs resolved %d,"
-            " cancelled %d, respawns %d"
+            "  rungs resolved %d, cancelled %d, respawns %d"
             % (
-                portfolio.get("clauses_exported", 0),
-                portfolio.get("clauses_imported", 0),
                 portfolio.get("rungs_resolved", 0),
                 portfolio.get("cancelled", 0),
                 portfolio.get("respawns", 0),

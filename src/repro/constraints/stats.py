@@ -80,15 +80,12 @@ class CacheStats:
 
 @dataclass
 class PortfolioStats:
-    """Per-run counters of the cube-and-conquer portfolio driver
+    """Per-run counters of the portfolio driver
     (:mod:`repro.solver.portfolio`).
 
     ``winner`` names the task whose solution the driver adopted;
-    ``winner_kind`` is its strategy family (``seq``, ``div``, ``cube``,
-    ``genval``).  Clause traffic is counted at the driver (exported =
-    published batches' clauses, imported = clauses accepted into at
-    least one other worker via the relay), cubes by their terminal
-    status.  ``rungs_resolved`` counts context-switch bounds settled by
+    ``winner_kind`` is its strategy family (``seq`` or ``genval``).
+    ``rungs_resolved`` counts context-switch bounds settled by
     exhaustion proofs or the sequential replica's budget evidence before
     the verdict was reached; ``cancelled`` is how many still-running
     tasks the driver killed once the verdict was in.
@@ -96,10 +93,6 @@ class PortfolioStats:
 
     workers: int = 0
     tasks: int = 0
-    cubes: int = 0
-    cubes_solved: int = 0
-    clauses_exported: int = 0
-    clauses_imported: int = 0
     rungs_resolved: int = 0
     cancelled: int = 0
     respawns: int = 0
@@ -110,10 +103,6 @@ class PortfolioStats:
         return {
             "workers": self.workers,
             "tasks": self.tasks,
-            "cubes": self.cubes,
-            "cubes_solved": self.cubes_solved,
-            "clauses_exported": self.clauses_exported,
-            "clauses_imported": self.clauses_imported,
             "rungs_resolved": self.rungs_resolved,
             "cancelled": self.cancelled,
             "respawns": self.respawns,

@@ -56,10 +56,8 @@ class ClapConfig:
     # Solver selection: 'smt' (sequential, Table 1), 'smt-inc' (the
     # incremental bound loop — one SAT instance across the c = 0, 1, 2, …
     # rounds, minimizing context switches best-effort), 'smt-portfolio'
-    # (the cube-and-conquer portfolio racing the incremental loop against
-    # genval rung probes, rf-prefix cube workers and diversified SAT
-    # configurations with learned-clause sharing) or 'genval'
-    # (generate-and-validate, Table 3).
+    # (the incremental loop raced against one genval probe per bound
+    # rung) or 'genval' (generate-and-validate, Table 3).
     solver: str = "smt"
     # Reproduce the exact observed output: pin the failing thread's read
     # values to those in the "core dump" (the paper's racey methodology —
@@ -97,13 +95,12 @@ class ClapConfig:
     # each carries a decode anchor so the surviving suffix decodes
     # standalone.  ``prefix_synthesis`` lets the analysis reconstruct the
     # evicted prefix (store/synthesize.py); with it off, a lossy trace is
-    # refused rather than silently treated as complete.  ``fast_recorder``
-    # selects the batched fast-path token encoder; None = auto (on for
-    # ring recording, off otherwise, keeping classic runs byte-stable).
+    # refused rather than silently treated as complete.  Ring recording
+    # uses the batched fast-path token encoder; classic recording stays
+    # on the reference recorder (both emit identical tokens).
     ring_bytes: int | None = None
     ring_segment_bytes: int = 512
     prefix_synthesis: bool = True
-    fast_recorder: bool | None = None
 
 
 @dataclass
@@ -215,10 +212,7 @@ class ClapPipeline:
                 cfg.ring_bytes, segment_bytes=cfg.ring_segment_bytes
             )
         ring_sink = sink if isinstance(sink, RingTraceSink) else None
-        fast = cfg.fast_recorder
-        if fast is None:
-            fast = ring_sink is not None
-        recorder_cls = FastPathRecorder if fast else PathRecorder
+        recorder_cls = PathRecorder if ring_sink is None else FastPathRecorder
         recorder = recorder_cls(
             self.program,
             paths=self.paths,

@@ -18,16 +18,14 @@ pipeline state: tasks are plain dicts and the job executor is a
 top-level importable function (or a picklable callable object carrying
 read-only state, like the portfolio's job runner).
 
-Pools created with ``channel=True`` additionally give every worker an
-IPC side channel (:class:`WorkerChannel`): workers ``publish`` payloads
-that the parent relays into every *other* worker's inbox (the portfolio
-solver's learned-clause exchange) and ``send`` payloads the parent hands
-to the caller's ``on_message`` hook (progress events).  The caller may
-react by calling :meth:`WorkerPool.stop_remaining`, which cancels every
+Pools created with ``channel=True`` additionally give every worker a
+one-way IPC side channel (:class:`WorkerChannel`): workers ``send``
+payloads the parent hands to the caller's ``on_message`` hook (the
+portfolio solver's per-rung progress events).  The caller may react by
+calling :meth:`WorkerPool.stop_remaining`, which cancels every
 unfinished job — pending jobs are marked ``cancelled`` without ever
 dispatching, and busy workers are killed within one poll interval.
-``WorkerPool.counters`` records respawns, relayed payloads and
-cancellations for the run.
+``WorkerPool.counters`` records respawns and cancellations for the run.
 """
 
 import collections
@@ -38,33 +36,17 @@ import time
 
 
 class WorkerChannel:
-    """A worker's side of the pool IPC channel.
+    """A worker's side of the pool IPC channel: ``send`` delivers a
+    payload to the parent's ``on_message`` hook."""
 
-    ``publish`` fans a payload out to every other worker's inbox (via the
-    parent's relay loop); ``send`` delivers a payload to the parent only;
-    ``poll`` drains this worker's inbox without blocking.
-    """
-
-    def __init__(self, outbox, inbox):
+    def __init__(self, outbox):
         self._outbox = outbox
-        self._inbox = inbox
-
-    def publish(self, payload):
-        self._outbox.put(("broadcast", os.getpid(), payload))
 
     def send(self, payload):
-        self._outbox.put(("message", os.getpid(), payload))
-
-    def poll(self):
-        payloads = []
-        while True:
-            try:
-                payloads.append(self._inbox.get_nowait())
-            except queue.Empty:
-                return payloads
+        self._outbox.put(payload)
 
 
-def _worker_main(run_job, task_queue, result_queue, outbox=None, inbox=None):
+def _worker_main(run_job, task_queue, result_queue, outbox=None):
     """Worker loop: take (job_id, spec, attempt), report a result dict.
 
     Exceptions escaping ``run_job`` are reported as ``"error"`` outcomes
@@ -72,7 +54,7 @@ def _worker_main(run_job, task_queue, result_queue, outbox=None, inbox=None):
     crashes and the injected kind) take the silent-death path the parent
     detects via exit codes.
     """
-    channel = WorkerChannel(outbox, inbox) if outbox is not None else None
+    channel = WorkerChannel(outbox) if outbox is not None else None
     while True:
         item = task_queue.get()
         if item is None:
@@ -95,10 +77,9 @@ class _Worker:
 
     def __init__(self, ctx, run_job, result_queue, outbox=None):
         self.task_queue = ctx.Queue()
-        self.inbox = ctx.Queue() if outbox is not None else None
         self.process = ctx.Process(
             target=_worker_main,
-            args=(run_job, self.task_queue, result_queue, outbox, self.inbox),
+            args=(run_job, self.task_queue, result_queue, outbox),
             daemon=True,
         )
         self.process.start()
@@ -142,9 +123,8 @@ class WorkerPool:
 
     With ``channel=True`` the executor is instead called as
     ``run_job(spec, attempt, channel)`` where ``channel`` is a
-    :class:`WorkerChannel`; a payload the worker ``publish``es is
-    relayed by the parent into every other worker's inbox, and a
-    payload it ``send``s is handed to ``run(..., on_message=...)``.
+    :class:`WorkerChannel`; a payload the worker ``send``s is handed to
+    ``run(..., on_message=...)``.
     """
 
     def __init__(self, run_job, jobs=2, poll_interval=0.05, channel=False):
@@ -156,7 +136,7 @@ class WorkerPool:
         self.channel = channel
         self._ctx = multiprocessing.get_context()
         self._stop = False
-        self.counters = {"respawns": 0, "relayed": 0, "cancelled": 0}
+        self.counters = {"respawns": 0, "cancelled": 0}
 
     def stop_remaining(self):
         """Cancel every job that has not finished yet.
@@ -179,7 +159,7 @@ class WorkerPool:
         worker ``send``s over the channel.
         """
         self._stop = False
-        self.counters = {"respawns": 0, "relayed": 0, "cancelled": 0}
+        self.counters = {"respawns": 0, "cancelled": 0}
         result_queue = self._ctx.Queue()
         outbox = self._ctx.Queue() if self.channel else None
         workers = [
@@ -227,18 +207,10 @@ class WorkerPool:
                 return
             while True:
                 try:
-                    kind, pid, payload = outbox.get_nowait()
+                    payload = outbox.get_nowait()
                 except queue.Empty:
                     return
-                if kind == "broadcast":
-                    for worker in workers:
-                        if worker.inbox is None or worker.dead():
-                            continue
-                        if worker.process.pid == pid:
-                            continue
-                        worker.inbox.put(payload)
-                        self.counters["relayed"] += 1
-                elif on_message is not None:
+                if on_message is not None:
                     on_message(payload)
 
         try:
@@ -286,7 +258,7 @@ class WorkerPool:
                                 job_id, pid, "executor raised: %s" % payload
                             )
 
-                # Relay channel traffic before acting on cancellation so a
+                # Drain channel traffic before acting on cancellation so a
                 # winner's result can never race its own stop signal.
                 drain_channel()
 

@@ -35,6 +35,7 @@ SAT = "sat"
 UNSAT = "unsat"
 
 _RESTART_BASE = 100  # conflicts for the first Luby restart interval
+_VAR_DECAY = 0.95  # VSIDS activity decay per conflict
 
 
 def luby(i):
@@ -135,16 +136,9 @@ class _VarHeap:
 
 
 class CDCLSolver:
-    """The solver.  The diversification knobs (``var_decay``,
-    ``restart_base``, ``phase_seed``) exist for portfolio workers: a
-    seeded phase RNG flips initial saved phases, a different decay skews
-    VSIDS, a different restart base shifts the Luby schedule.  All three
-    default to the historical values, so a bare ``CDCLSolver()`` is
-    bit-identical to earlier revisions.
-    """
+    """The solver."""
 
-    def __init__(self, var_decay=0.95, restart_base=_RESTART_BASE,
-                 phase_seed=None):
+    def __init__(self):
         self.num_vars = 0
         self.clauses = []  # each clause: list of lits
         self.clause_birth = []  # solve() call that created the clause
@@ -157,14 +151,6 @@ class CDCLSolver:
         self.trail_lim = []  # trail length at each decision level
         self.activity = [0.0]
         self.var_inc = 1.0
-        self.var_decay = var_decay
-        self.restart_base = restart_base
-        if phase_seed is None:
-            self._phase_rng = None
-        else:
-            import random
-
-            self._phase_rng = random.Random(phase_seed)
         self.phase = [False]  # saved phases
         self.order = _VarHeap(self.activity)
         self.propagate_head = 0
@@ -180,10 +166,7 @@ class CDCLSolver:
         self.level.append(0)
         self.reason.append(None)
         self.activity.append(0.0)
-        if self._phase_rng is None:
-            self.phase.append(False)
-        else:
-            self.phase.append(self._phase_rng.random() < 0.5)
+        self.phase.append(False)
         self.watches.append([])
         self.watches.append([])
         self.order.register(var)
@@ -317,7 +300,7 @@ class CDCLSolver:
         self.order.bumped(var)
 
     def _decay(self):
-        self.var_inc /= self.var_decay
+        self.var_inc /= _VAR_DECAY
 
     def _analyze(self, conflict_idx):
         """First-UIP learning.  Returns (learned_clause, backjump_level)."""
@@ -417,7 +400,7 @@ class CDCLSolver:
         conflicts = 0
         restart_count = 0
         restart_number = 1
-        restart_limit = self.restart_base * luby(restart_number)
+        restart_limit = _RESTART_BASE * luby(restart_number)
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -445,7 +428,7 @@ class CDCLSolver:
                 if restart_count >= restart_limit:
                     restart_count = 0
                     restart_number += 1
-                    restart_limit = self.restart_base * luby(restart_number)
+                    restart_limit = _RESTART_BASE * luby(restart_number)
                     self.stats.restarts += 1
                     self._backtrack(0)
             else:
@@ -478,37 +461,6 @@ class CDCLSolver:
                     continue
                 if not self._decide():
                     return SAT
-
-    def export_learned(self, cursor=0, max_len=8, max_var=None,
-                       exclude_vars=()):
-        """Learned clauses attached since ``cursor``, for sharing.
-
-        Returns ``(clauses, new_cursor)``.  Learned clauses are derived
-        by resolution over database clauses only — assumption literals
-        are never resolved out, they appear negated *inside* the learned
-        clause — so every exported clause is valid for the whole
-        formula, not just under this solver's assumptions.  The filters
-        are usefulness measures: ``max_len`` keeps traffic short,
-        ``max_var`` drops clauses touching solver-local variables (bound
-        ladder guards, block guards) that other workers number
-        differently, and ``exclude_vars`` drops clauses mentioning this
-        worker's own cube variables, which are tautological noise inside
-        the cube and rarely help outside it.
-        """
-        exported = []
-        exclude = set(exclude_vars)
-        for idx in range(cursor, len(self.clauses)):
-            if not self.clause_learned[idx]:
-                continue
-            lits = self.clauses[idx]
-            if len(lits) > max_len:
-                continue
-            if max_var is not None and any(abs(l) > max_var for l in lits):
-                continue
-            if exclude and any(abs(l) in exclude for l in lits):
-                continue
-            exported.append(tuple(lits))
-        return exported, len(self.clauses)
 
     def model(self):
         """Assignment after SAT: {var: bool} (level-0 units included)."""

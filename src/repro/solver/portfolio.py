@@ -1,21 +1,22 @@
-"""Cube-and-conquer portfolio driver over the incremental CLAP solver.
+"""Two-strategy portfolio driver over the incremental CLAP solver.
 
 The sequential bound loop (:func:`repro.solver.smt.solve_constraints_bounded`)
 spends almost all of its time *refuting* low context-switch bounds: each
 round below the true minimum can only be closed by blocking theory-valid
 reads-from combinations one at a time, and on the big Table-1 traces the
 per-round iteration budget runs out long before the space does — the
-reported bound is then best-effort, not minimal.  This module races
-several strategies for the same answer over the service
+reported bound is then best-effort, not minimal.  This module races the
+paper's two searches for the same answer over the service
 :class:`~repro.service.pool.WorkerPool` and keeps whichever evidence
 arrives first:
 
 ``seq``
-    A pristine replica of the sequential incremental solver.  It exports
-    learned clauses but **never imports any**, so its round-by-round
-    evidence (found / exhausted / budget-out) is exactly what the
-    sequential path would have produced.  This is the anchor that makes
-    the portfolio's verdict never *worse* than sequential.
+    A replica of the sequential incremental solver (Section 4.2's
+    ladder).  Its round-by-round evidence (found / exhausted /
+    budget-out) is exactly what the sequential path would have
+    produced, streamed to the driver as each round closes.  This is the
+    anchor that makes the portfolio's verdict never *worse* than
+    sequential.
 
 ``genval``
     One capped generate-and-validate probe per ladder rung ``c``
@@ -27,44 +28,23 @@ arrives first:
     CEGAR refutation (the `aget` trace: seconds instead of half a
     minute, with a smaller — proven minimal — bound).
 
-``cube``
-    Disjoint prefix cubes over the largest reads-from exactly-one group,
-    using the stable variable numbering from
-    ``encoder.assign_atom_numbering``.  A cube enters the solver as
-    **assumptions only**, never as clauses — learned clauses are derived
-    by resolution from the clause database alone (assumption literals
-    are never resolved out; they appear negated *inside* a learned
-    clause), so everything a cube worker learns is valid for the whole
-    formula and safe to share.  Clauses mentioning a worker's own cube
-    variables are filtered out before export ("cube-guard-free"): inside
-    the cube they are subsumed by the assumption, outside it they are
-    rarely useful, so they are pure traffic.
-
-``div``
-    Diversified full-space workers (VSIDS decay / restart sequence /
-    seeded phase saving).  They import everyone's short clauses and
-    export their own.
-
 Minimality protocol: every find is validated (the winner's context
 switch count comes from the shared :class:`ScheduleValidator`, the same
 metric every path uses).  A rung ``c`` is *resolved* when the portfolio
 holds evidence the sequential loop would also have accepted to move past
-``c``: an exhaustion proof (genval probe, a full-space SMT worker's
-UNSAT round, or *every* cube exhausting the round), or the pristine
-``seq`` replica closing round ``c`` without a find (identical budget
-evidence to sequential).  The driver adopts the best find once every
-rung below it is resolved, then cancels the remaining workers through
-:meth:`WorkerPool.stop_remaining` — losers die within one poll interval.
-With ``workers <= 1`` the driver calls the sequential loop directly and
-is bit-for-bit identical to ``--solver smt-inc``.
+``c``: a genval exhaustion proof, or the ``seq`` replica closing round
+``c`` without a find (an UNSAT round is a proof, a budget-out is the
+same budget evidence sequential would have used).  The driver adopts the
+best find once every rung below it is resolved, then cancels the
+remaining workers through :meth:`WorkerPool.stop_remaining` — losers die
+within one poll interval.  With ``workers <= 1`` the driver calls the
+sequential loop directly and is bit-for-bit identical to
+``--solver smt-inc``.
 """
 
-import functools
 import time
 
-from repro.constraints.model import RFChoice
 from repro.constraints.stats import PortfolioStats, merge_sat_stats
-from repro.solver.cdcl import CDCLSolver
 from repro.solver.parallel import _search_round
 from repro.solver.smt import ClapSmtSolver, SmtResult, solve_constraints_bounded
 
@@ -75,78 +55,14 @@ GENVAL_MAX_SCHEDULES = 2000
 GENVAL_MAX_STEPS = 40000
 GENVAL_MAX_GOOD = 4
 
-# Diversified full-space SAT configurations (the ``div`` tasks).
-DIV_VARIANTS = {
-    1: {"var_decay": 0.85, "restart_base": 64, "phase_seed": 101},
-    2: {"var_decay": 0.99, "restart_base": 256, "phase_seed": 202},
-}
 
-# Clause-exchange policy: short clauses only, every EXCHANGE_EVERY CEGAR
-# iterations.
-SHARE_MAX_LEN = 8
-EXCHANGE_EVERY = 8
-
-# Cube and diversified workers run with a fraction of the sequential
-# round budget: they are opportunistic scouts and clause factories, and
-# on a machine with fewer cores than tasks they must not starve the
-# ``seq`` anchor whose evidence the verdict usually waits on.
-SIDE_BUDGET_DIVISOR = 8
-
-
-def derive_cubes(system, max_cubes=4):
-    """Disjoint, exhaustive assumption cubes from the largest reads-from
-    exactly-one group.
-
-    Each cube asserts one candidate source of the chosen read (the
-    group's pairwise at-most-one clauses make single-literal cubes
-    disjoint; the exactly-one clause makes them exhaustive).  When the
-    group is wider than ``max_cubes``, the tail collapses into one
-    "rest" cube asserting that none of the head candidates fired.
-    Returns a list of assumption-literal lists (possibly empty when the
-    system has no usable group).
-    """
-    numbering = getattr(system, "atom_numbering", None) or {}
-    best = None
-    for group in system.exactly_one:
-        vars_ = []
-        usable = True
-        for lit in group.lits:
-            atom = lit.atom
-            if not isinstance(atom, RFChoice) or not lit.positive:
-                usable = False
-                break
-            var = numbering.get(atom)
-            if var is None:
-                usable = False
-                break
-            vars_.append(var)
-        if usable and len(vars_) >= 2:
-            if best is None or len(vars_) > len(best):
-                best = vars_
-    if not best:
-        return []
-    if len(best) <= max_cubes:
-        return [[v] for v in best]
-    head = best[: max_cubes - 1]
-    cubes = [[v] for v in head]
-    cubes.append([-v for v in head])
-    return cubes
-
-
-def _plan_tasks(system, max_cs, max_cubes=4):
-    """The portfolio's task list, in dispatch priority order.
-
-    ``seq`` first (the long pole starts immediately), then the cheap
-    genval rung probes in ascending bound order, then cubes, then the
-    diversified full-space workers.
-    """
+def _plan_tasks(max_cs):
+    """The portfolio's task list, in dispatch priority order: ``seq``
+    first (the long pole starts immediately), then the cheap genval rung
+    probes in ascending bound order."""
     tasks = [{"id": "seq", "kind": "seq"}]
     for c in range(max_cs + 1):
         tasks.append({"id": "genval-%d" % c, "kind": "genval", "rung": c})
-    for i, cube in enumerate(derive_cubes(system, max_cubes=max_cubes)):
-        tasks.append({"id": "cube-%d" % i, "kind": "cube", "lits": cube})
-    for variant in sorted(DIV_VARIANTS):
-        tasks.append({"id": "div-%d" % variant, "kind": "div", "variant": variant})
     return tasks
 
 
@@ -154,7 +70,7 @@ def _filter_faults(faults, task_id):
     """Faults that apply to ``task_id``.
 
     A fault spec may carry a ``"tasks"`` list restricting which portfolio
-    tasks it fires in (e.g. slow down only ``cube-0``); without it the
+    tasks it fires in (e.g. slow down only ``genval-2``); without it the
     fault applies everywhere.
     """
     if not faults:
@@ -168,7 +84,7 @@ def _filter_faults(faults, task_id):
 
 
 class _PortfolioJob:
-    """Picklable per-worker executor for every portfolio task kind.
+    """Picklable per-worker executor for both portfolio task kinds.
 
     Carries the (read-only) constraint system; per-process heavyweight
     structures (the genval generator/validator) are built lazily after
@@ -212,7 +128,7 @@ class _PortfolioJob:
         maybe_kill_worker(faults, attempt)
         if task["kind"] == "genval":
             return self._run_genval(task, faults)
-        return self._run_smt(task, channel, faults)
+        return self._run_seq(channel, faults)
 
     # -- generate-and-validate rung probe --------------------------------
 
@@ -247,69 +163,22 @@ class _PortfolioJob:
             "wall": time.monotonic() - start,
         }
 
-    # -- SMT-family tasks (seq / div / cube) ------------------------------
+    # -- sequential ladder replica ----------------------------------------
 
-    def _run_smt(self, task, channel, faults):
+    def _run_seq(self, channel, faults):
         from repro.service.faults import maybe_slow_solve
 
-        kind = task["kind"]
-        if kind == "div":
-            sat_factory = functools.partial(
-                CDCLSolver, **DIV_VARIANTS[task["variant"]]
-            )
-        else:
-            sat_factory = None
-        solver = ClapSmtSolver(self.system, sat_factory=sat_factory)
-        n_atoms = len(getattr(self.system, "atom_numbering", None) or {})
-        cube_lits = list(task.get("lits", ()))
-        cube_vars = [abs(lit) for lit in cube_lits]
-        # The pristine sequential replica must produce exactly the
-        # sequential path's evidence, so it never imports; everyone else
-        # both imports and exports.
-        importing = kind != "seq"
-        round_iterations = self.round_iterations
-        if kind != "seq" and round_iterations is not None:
-            round_iterations = max(64, round_iterations // SIDE_BUDGET_DIVISOR)
-        state = {"cursor": 0, "seen": set(), "exported": 0, "imported": 0,
-                 "ticks": 0}
-
-        def tick(s):
-            state["ticks"] += 1
-            if channel is None or state["ticks"] % EXCHANGE_EVERY != 1:
-                return
-            clauses, state["cursor"] = s.sat.export_learned(
-                state["cursor"],
-                max_len=SHARE_MAX_LEN,
-                max_var=n_atoms,
-                exclude_vars=cube_vars,
-            )
-            fresh = [c for c in clauses if c not in state["seen"]]
-            if fresh:
-                state["seen"].update(fresh)
-                state["exported"] += len(fresh)
-                channel.publish({"task": task["id"], "clauses": fresh})
-            if importing:
-                for payload in channel.poll():
-                    for clause in payload.get("clauses", ()):
-                        key = tuple(clause)
-                        if key in state["seen"]:
-                            continue
-                        state["seen"].add(key)
-                        s.sat.add_clause(list(key))
-                        state["imported"] += 1
+        solver = ClapSmtSolver(self.system)
 
         def on_round(entry):
-            if channel is not None:
-                channel.send(
-                    {
-                        "event": "round",
-                        "task": task["id"],
-                        "kind": kind,
-                        "bound": entry["bound"],
-                        "found": entry["found"],
-                        "exhausted": entry["exhausted"],
-                    }
-                )
+            channel.send(
+                {
+                    "event": "round",
+                    "bound": entry["bound"],
+                    "found": entry["found"],
+                    "exhausted": entry["exhausted"],
+                }
+            )
 
         maybe_slow_solve(faults)
         start = time.monotonic()
@@ -317,15 +186,13 @@ class _PortfolioJob:
             self.max_cs,
             max_iterations=self.max_iterations,
             max_seconds=self.max_seconds,
-            round_iterations=round_iterations,
-            assume_lits=cube_lits,
-            tick=tick,
+            round_iterations=self.round_iterations,
             on_round=on_round,
         )
         return {
             "status": "done",
-            "kind": kind,
-            "task": task["id"],
+            "kind": "seq",
+            "task": "seq",
             "ok": result.ok,
             "reason": result.reason,
             "schedule": [tuple(uid) for uid in result.schedule],
@@ -336,8 +203,6 @@ class _PortfolioJob:
             "bound": result.bound,
             "round_stats": list(result.round_stats),
             "sat_stats": dict(result.sat_stats),
-            "exported": state["exported"],
-            "imported": state["imported"],
             "wall": time.monotonic() - start,
         }
 
@@ -349,7 +214,6 @@ def solve_constraints_portfolio(
     max_iterations=100000,
     max_seconds=None,
     round_iterations=2000,
-    max_cubes=4,
     faults=None,
     poll_interval=0.05,
 ):
@@ -377,8 +241,7 @@ def solve_constraints_portfolio(
 
     from repro.service.pool import WorkerPool
 
-    tasks = _plan_tasks(system, max_cs, max_cubes=max_cubes)
-    n_cubes = sum(1 for t in tasks if t["kind"] == "cube")
+    tasks = _plan_tasks(max_cs)
     job = _PortfolioJob(
         system,
         max_cs=max_cs,
@@ -411,7 +274,6 @@ def solve_constraints_portfolio(
     best = {}
     resolved = set()
     proven = set()
-    cube_exhausted = {}  # bound -> set of cube task ids
 
     def note_no_find(bound, by_proof):
         resolved.add(bound)
@@ -433,23 +295,15 @@ def solve_constraints_portfolio(
         if best and all(c in resolved for c in range(best["cs"])):
             pool.stop_remaining()
 
+    def on_round(entry):
+        # A found round's schedule arrives with the worker's outcome.
+        if not entry["found"]:
+            note_no_find(entry["bound"], by_proof=entry["exhausted"])
+
     def on_message(payload):
-        if payload.get("event") != "round":
-            return
-        kind = payload["kind"]
-        bound = payload["bound"]
-        if payload["found"]:
-            return  # the schedule arrives with the worker's outcome
-        if kind == "seq":
-            note_no_find(bound, by_proof=payload["exhausted"])
-        elif kind == "div" and payload["exhausted"]:
-            note_no_find(bound, by_proof=True)
-        elif kind == "cube" and payload["exhausted"]:
-            done = cube_exhausted.setdefault(bound, set())
-            done.add(payload["task"])
-            if len(done) == n_cubes:
-                note_no_find(bound, by_proof=True)
-        maybe_finish()
+        if payload.get("event") == "round":
+            on_round(payload)
+            maybe_finish()
 
     results = {}
 
@@ -478,41 +332,20 @@ def solve_constraints_portfolio(
                 # Re-derive rung evidence from the final round stats in
                 # case a round event was lost with a dying worker.
                 for entry in outcome["round_stats"]:
-                    on_message(
-                        {
-                            "event": "round",
-                            "task": task["id"],
-                            "kind": kind,
-                            "bound": entry["bound"],
-                            "found": entry["found"],
-                            "exhausted": entry["exhausted"],
-                        }
-                    )
+                    on_round(entry)
         maybe_finish()
 
     pool.run(specs, on_outcome=on_outcome, on_message=on_message)
 
     wall = time.monotonic() - start
-    smt_payloads = [
-        r
-        for r in results.values()
-        if r.get("status") == "done" and r.get("kind") != "genval"
-    ]
-    iterations = sum(p.get("iterations", 0) for p in smt_payloads)
-    sat_stats = merge_sat_stats([p.get("sat_stats") for p in smt_payloads])
+    seq_payload = results.get("seq", {})
+    seq_done = seq_payload.get("status") == "done"
+    iterations = seq_payload.get("iterations", 0)
+    sat_stats = merge_sat_stats([seq_payload.get("sat_stats")])
 
     stats = PortfolioStats(
         workers=min(workers, len(specs)),
         tasks=len(tasks),
-        cubes=n_cubes,
-        cubes_solved=sum(
-            1
-            for t in tasks
-            if t["kind"] == "cube"
-            and results.get(t["id"], {}).get("status") == "done"
-        ),
-        clauses_exported=sum(p.get("exported", 0) for p in smt_payloads),
-        clauses_imported=sum(p.get("imported", 0) for p in smt_payloads),
         rungs_resolved=len(resolved),
         cancelled=pool.counters["cancelled"],
         respawns=pool.counters["respawns"],
@@ -521,8 +354,7 @@ def solve_constraints_portfolio(
     )
 
     if best:
-        seq_payload = results.get("seq", {})
-        if best["task"] == "seq" and seq_payload.get("status") == "done":
+        if best["task"] == "seq" and seq_done:
             round_stats = list(seq_payload["round_stats"])
         else:
             # Synthesize the ladder the verdict actually rests on: every
@@ -565,8 +397,7 @@ def solve_constraints_portfolio(
         result.portfolio = stats.as_dict()
         return result
 
-    seq_payload = results.get("seq", {})
-    if seq_payload.get("status") == "done":
+    if seq_done:
         result = SmtResult(
             False,
             reason=seq_payload["reason"],

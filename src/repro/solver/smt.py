@@ -73,8 +73,8 @@ class SmtResult:
     round_stats: list = field(default_factory=list)
     sat_stats: dict = field(default_factory=dict)
     # Portfolio extras (solve_constraints_portfolio only): the
-    # PortfolioStats counters as a dict — winner identity, cube counts,
-    # clause-exchange traffic, cancellations.
+    # PortfolioStats counters as a dict — winner identity, resolved
+    # rungs, cancellations.
     portfolio: dict = field(default_factory=dict)
 
     def __bool__(self):
@@ -786,8 +786,6 @@ class ClapSmtSolver:
         max_iterations=100000,
         max_seconds=None,
         round_iterations=2000,
-        assume_lits=(),
-        tick=None,
         on_round=None,
         _start=None,
     ):
@@ -809,13 +807,9 @@ class ClapSmtSolver:
         to the budget (best-effort), not a proof that smaller bounds are
         impossible.  Pass ``None`` for exhaustive rounds.
 
-        Portfolio hooks: ``assume_lits`` are extra assumption literals
-        added to every round (a cube worker's prefix cube — constraints
-        that scope the search *without* entering the clause database, so
-        learned clauses stay globally valid); ``tick(self)`` fires once
-        per CEGAR iteration (clause exchange); ``on_round(entry)`` fires
-        as each round closes with that round's stats entry (exhaustion
-        evidence for the portfolio's minimality protocol)."""
+        ``on_round(entry)`` fires as each round closes with that round's
+        stats entry (exhaustion evidence for the portfolio's minimality
+        protocol)."""
         start = time.monotonic() if _start is None else _start
         # A SAT core without an assumption interface (the frozen reference
         # solver) cannot retract blocks between rounds: only a single
@@ -826,13 +820,6 @@ class ClapSmtSolver:
             raise TypeError(
                 "multi-round bound search needs an assumption-capable SAT core"
             )
-        assume_lits = list(assume_lits)
-        if assume_lits and not use_guard:
-            raise TypeError(
-                "cube assumptions need an assumption-capable SAT core"
-            )
-        for lit in assume_lits:
-            self.sat.ensure_var(abs(lit))
         iterations = 0
         round_stats = []
         # Theory-level reuse across rounds: a combo's linearization and
@@ -853,8 +840,7 @@ class ClapSmtSolver:
         )
         for c in range(min_bound, max_cs + 1):
             assumptions = (
-                assume_lits
-                + [
+                [
                     ladder[j] if j <= c else -ladder[j]
                     for j in range(min_bound + 1, max_cs + 2)
                 ]
@@ -887,8 +873,6 @@ class ClapSmtSolver:
                     break  # budget spent; abandon this bound, try the next
                 iterations += 1
                 round_iters += 1
-                if tick is not None:
-                    tick(self)
                 if (
                     max_seconds is not None
                     and time.monotonic() - start > max_seconds
@@ -1020,8 +1004,6 @@ def solve_constraints_bounded(
     max_iterations=100000,
     max_seconds=None,
     round_iterations=2000,
-    assume_lits=(),
-    tick=None,
     on_round=None,
 ):
     """Minimal-context-switch search with increasing bound rounds.
@@ -1048,8 +1030,6 @@ def solve_constraints_bounded(
             max_iterations=max_iterations,
             max_seconds=max_seconds,
             round_iterations=round_iterations,
-            assume_lits=assume_lits,
-            tick=tick,
             on_round=on_round,
             _start=start,
         )

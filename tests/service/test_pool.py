@@ -118,40 +118,11 @@ def test_more_jobs_than_workers():
 # -- channel mode ---------------------------------------------------------
 
 
-def _job_channel_echo(spec, attempt, channel):
-    """Publish a payload, then wait briefly for relays from peers."""
-    channel.publish({"from": spec["entry_id"]})
-    deadline = time.monotonic() + float(spec.get("listen", 1.5))
-    received = []
-    while time.monotonic() < deadline:
-        received.extend(channel.poll())
-        if len(received) >= spec.get("expect", 0):
-            break
-        time.sleep(0.02)
-    return {
-        "entry_id": spec["entry_id"],
-        "status": "reproduced",
-        "received": sorted(p["from"] for p in received),
-        "worker_pid": os.getpid(),
-    }
-
-
 def _job_send_event(spec, attempt, channel):
     channel.send({"event": "progress", "entry_id": spec["entry_id"]})
     if spec.get("linger"):
         time.sleep(float(spec["linger"]))
     return {"entry_id": spec["entry_id"], "status": "reproduced"}
-
-
-def test_channel_broadcast_relayed_to_other_workers():
-    pool = WorkerPool(_job_channel_echo, jobs=2, channel=True)
-    outcomes = pool.run([spec("a", expect=1), spec("b", expect=1)])
-    a, b = outcomes
-    # Each worker's publish landed in the *other* worker's inbox, never
-    # its own.
-    assert a["received"] == ["b"]
-    assert b["received"] == ["a"]
-    assert pool.counters["relayed"] == 2
 
 
 def test_channel_send_reaches_on_message():

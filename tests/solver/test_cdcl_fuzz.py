@@ -11,7 +11,10 @@ ground truth:
   loop depends on);
 * interleaving clause additions with solve calls — the incremental usage
   pattern — never contradicts the oracle on any prefix, and agrees with
-  the frozen reference solver run fresh on the same prefix.
+  the frozen reference solver run fresh on the same prefix;
+* every clause learned while solving under assumptions is implied by the
+  formula alone, so carrying it into a search under different
+  assumptions never changes an answer.
 
 The truth-table oracle enumerates all 2^n assignments as bitmasks: bit a
 of a literal's mask says whether assignment a satisfies it, so a clause is
@@ -150,14 +153,15 @@ def test_fuzz_incremental_prefixes_against_reference(batch):
         assert (incremental.solve() == SAT) == expected, (n, added)
 
 
-# -- cube-and-conquer clause sharing --------------------------------------
+# -- learned clauses under assumptions ------------------------------------
 #
-# The portfolio splits the search space into prefix cubes (assignments to
-# the first k variables, entered as *assumptions*) and shares short
-# learned clauses between cube solvers.  The soundness claim under test:
-# a clause learned while solving under cube assumptions is valid for the
-# whole formula, so importing it into a solver working a *different* cube
-# can never flip a SAT answer to UNSAT or vice versa.  ~500 fuzzed
+# The bound ladder keeps every learned clause when it moves from one
+# assumption set to the next, which is only sound if a clause learned
+# under assumptions is valid for the whole formula.  The check splits the
+# search space into prefix cubes (assignments to the first k variables,
+# entered as *assumptions*), solves each cube on its own solver, and
+# imports every clause one cube learned into the solvers of the others:
+# that must never flip a SAT answer to UNSAT or vice versa.  ~500 fuzzed
 # formulas at ≤ 14 variables, checked against the truth-table oracle.
 
 CUBE_MAX_VARS = 14
@@ -176,6 +180,17 @@ def random_cube_cnf(rng):
             ]
         )
     return n, clauses
+
+
+def learned_since(solver, cursor):
+    """Learned clauses attached at or after clause index ``cursor``, and
+    the next cursor."""
+    learned = [
+        tuple(solver.clauses[idx])
+        for idx in range(cursor, len(solver.clauses))
+        if solver.clause_learned[idx]
+    ]
+    return learned, len(solver.clauses)
 
 
 def prefix_cubes(n, rng):
@@ -227,18 +242,13 @@ def test_fuzz_cube_solving_with_shared_clauses(batch):
                     for lit in cube:
                         assert model.get(abs(lit)) == (lit > 0)
                 verdicts[i] = status
-                exported, cursors[i] = solver.export_learned(
-                    cursors[i],
-                    max_len=8,
-                    max_var=n,
-                    exclude_vars=[abs(l) for l in cube],
-                )
-                for clause in exported:
+                learned, cursors[i] = learned_since(solver, cursors[i])
+                for clause in learned:
                     # Every shared clause must itself be implied by the
                     # formula: formula ∧ ¬clause is UNSAT on the oracle.
                     negation = [-l for l in clause]
                     assert not oracle_sat(n, clauses, negation), (
-                        "exported clause not implied",
+                        "learned clause not implied",
                         clause,
                         clauses,
                     )

@@ -130,15 +130,15 @@ def test_portfolio_survives_terminally_crashed_task():
 
 
 def test_portfolio_losers_cancelled_after_winner():
-    # aget's winner arrives in a couple of seconds; the cube and div
-    # workers are stalled behind a 60s injected sleep.  The finish rule
-    # must kill them within the poll interval instead of waiting them
-    # out, and nothing may be left running afterwards.
+    # aget's winner (the genval-1 probe) arrives in a couple of seconds;
+    # the higher rung probes are stalled behind a 60s injected sleep.  The
+    # finish rule must kill them within the poll interval instead of
+    # waiting them out, and nothing may be left running afterwards.
     system = table1_system("aget")
     stall = {
         "slow_solve": {
             "seconds": 60,
-            "tasks": ["cube-0", "cube-1", "cube-2", "cube-3", "div-1", "div-2"],
+            "tasks": ["genval-2", "genval-3", "genval-4"],
         }
     }
     t0 = time.monotonic()
