@@ -228,12 +228,13 @@ def cmd_reproduce(args):
     sat = detail.get("sat_stats")
     if sat:
         print(
-            "sat core     : %d solve calls, %d propagations, %d conflicts,"
-            " %d restarts, %d learned, %d reuse hits"
+            "sat core     : %d solve calls, %d propagations, %d conflicts"
+            " (%d order), %d restarts, %d learned, %d reuse hits"
             % (
                 sat.get("solve_calls", 0),
                 sat.get("propagations", 0),
                 sat.get("conflicts", 0),
+                sat.get("theory_conflicts", 0),
                 sat.get("restarts", 0),
                 sat.get("learned", 0),
                 sat.get("reuse_hits", 0),

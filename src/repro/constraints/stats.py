@@ -16,6 +16,8 @@ class SolverPhaseStats:
     ``reuse_hits`` (propagations whose reason is a clause learned in an
     *earlier* ``solve()`` call) directly measures how much work the
     assumption-reuse path saved versus re-encoding per round.
+    ``theory_conflicts`` counts the conflicts (already in ``conflicts``)
+    that an in-search theory raised: order cycles caught mid-search.
     """
 
     solve_calls: int = 0
@@ -26,6 +28,7 @@ class SolverPhaseStats:
     learned: int = 0
     learned_literals: int = 0
     reuse_hits: int = 0
+    theory_conflicts: int = 0
 
     def as_dict(self):
         return {
@@ -37,6 +40,7 @@ class SolverPhaseStats:
             "learned": self.learned,
             "learned_literals": self.learned_literals,
             "reuse_hits": self.reuse_hits,
+            "theory_conflicts": self.theory_conflicts,
         }
 
     def snapshot(self):

@@ -10,6 +10,11 @@ tuned for the offline phase's re-solve-per-preemption-bound loop:
   (decisions are O(log n), not a linear scan over all variables),
 * Luby-sequence restarts,
 * phase saving,
+* an optional in-search theory (:meth:`CDCLSolver.attach_theory`): after
+  every unit-propagation fixpoint the theory sees the newly assigned
+  literals and may answer with a conflict clause, which is analysed and
+  learned like a propagation conflict — the order theory
+  (:mod:`repro.solver.order`) runs here,
 * an assumption interface — ``solve(assumptions=[...])`` searches under
   temporary unit hypotheses without committing them, which is what lets
   the bound loop retract "needs more than c switches" blocking clauses
@@ -156,6 +161,22 @@ class CDCLSolver:
         self.propagate_head = 0
         self._unsat = False  # a level-0 contradiction was derived
         self.stats = SolverPhaseStats()
+        self.theory = None
+        self.theory_head = 0  # trail position the theory has consumed
+        self._pending = None  # clauses added during a final check
+
+    def attach_theory(self, theory):
+        """Check ``theory`` inside the search.
+
+        ``theory.assign(trail, start)`` asserts ``trail[start:]`` and
+        returns ``(conflict, stop)``: a clause false under the trail (or
+        ``None``) and the trail position consumed up to.
+        ``theory.backtrack(trail_len)`` retracts everything asserted at
+        trail positions ``>= trail_len``.  ``theory.phase(var, saved)``
+        picks the polarity of a decision on ``var`` (``saved`` is the
+        saved phase)."""
+        self.theory = theory
+        self.theory_head = 0
 
     # ------------------------------------------------------------------ #
 
@@ -177,7 +198,12 @@ class CDCLSolver:
             self.new_var()
 
     def add_clause(self, lits):
-        """Add a clause; may be called between solve() calls."""
+        """Add a clause; may be called between solve() calls, and from a
+        ``final_check`` (see :meth:`solve`), where it refines the search
+        in place."""
+        if self._pending is not None:
+            self._pending.append(lits)
+            return
         lits = list(dict.fromkeys(lits))  # dedupe, keep order
         for lit in lits:
             self.ensure_var(abs(lit))
@@ -302,13 +328,13 @@ class CDCLSolver:
     def _decay(self):
         self.var_inc /= _VAR_DECAY
 
-    def _analyze(self, conflict_idx):
-        """First-UIP learning.  Returns (learned_clause, backjump_level)."""
+    def _analyze(self, clause):
+        """First-UIP learning from a conflicting clause (a list of
+        literals, all false).  Returns (learned_clause, backjump_level)."""
         learned = []
         seen = set()
         counter = 0
         pivot = None  # the implied literal whose reason we resolve with
-        clause = self.clauses[conflict_idx]
         index = len(self.trail) - 1
         current_level = len(self.trail_lim)
         level = self.level
@@ -363,8 +389,12 @@ class CDCLSolver:
             order.insert(var)
         del self.trail[limit:]
         del self.trail_lim[target_level:]
-        if self.propagate_head > len(self.trail):
-            self.propagate_head = len(self.trail)
+        if self.propagate_head > limit:
+            self.propagate_head = limit
+        if self.theory_head > limit:
+            self.theory_head = limit
+        if self.theory is not None:
+            self.theory.backtrack(limit)
 
     def _decide(self):
         assign = self.assign
@@ -374,13 +404,16 @@ class CDCLSolver:
             if assign[var] is None:
                 self.stats.decisions += 1
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(var if self.phase[var] else -var, None)
+                phase = self.phase[var]
+                if self.theory is not None:
+                    phase = self.theory.phase(var, phase)
+                self._enqueue(var if phase else -var, None)
                 return True
         return False
 
     # ------------------------------------------------------------------ #
 
-    def solve(self, assumptions=(), max_conflicts=None):
+    def solve(self, assumptions=(), max_conflicts=None, final_check=None):
         """Run CDCL search under the given assumption literals.
 
         Returns SAT, UNSAT, or None when ``max_conflicts`` is hit.  UNSAT
@@ -388,6 +421,13 @@ class CDCLSolver:
         the solver stays usable and keeps everything it learned.  Only a
         level-0 contradiction (UNSAT with no assumptions involved) is
         permanent.
+
+        ``final_check()`` runs on every full assignment (the model is
+        readable through :meth:`model`).  It returns True to accept the
+        assignment (SAT), None to stop the search (``solve`` returns
+        None), or False after refuting the assignment with clauses added
+        through :meth:`add_clause`.  A refuting clause backjumps the search
+        to where it stops being false instead of restarting it.
         """
         if self._unsat:
             return UNSAT
@@ -401,37 +441,18 @@ class CDCLSolver:
         restart_count = 0
         restart_number = 1
         restart_limit = _RESTART_BASE * luby(restart_number)
+        theory = self.theory
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                conflicts += 1
-                restart_count += 1
-                self.stats.conflicts += 1
-                if not self.trail_lim:
-                    self._unsat = True
-                    return UNSAT
-                learned, backjump = self._analyze(conflict)
-                self._backtrack(backjump)
-                if len(learned) == 1:
-                    if not self._enqueue(learned[0], None):
-                        self._unsat = True
-                        return UNSAT
-                else:
-                    index = self._attach(learned, learned=True)
-                    self._enqueue(learned[0], index)
-                self.stats.learned += 1
-                self.stats.learned_literals += len(learned)
-                self._decay()
-                if max_conflicts is not None and conflicts >= max_conflicts:
-                    self._backtrack(0)
-                    return None
-                if restart_count >= restart_limit:
-                    restart_count = 0
-                    restart_number += 1
-                    restart_limit = _RESTART_BASE * luby(restart_number)
-                    self.stats.restarts += 1
-                    self._backtrack(0)
-            else:
+                conflict = self.clauses[conflict]
+            elif theory is not None and self.theory_head < len(self.trail):
+                conflict, self.theory_head = theory.assign(
+                    self.trail, self.theory_head
+                )
+                if conflict is not None:
+                    self.stats.theory_conflicts += 1
+            if conflict is None:
                 # Re-establish assumption levels 1..n, then decide.
                 lvl = len(self.trail_lim)
                 pending = None
@@ -459,8 +480,98 @@ class CDCLSolver:
                     self.trail_lim.append(len(self.trail))
                     self._enqueue(pending, None)
                     continue
-                if not self._decide():
+                if self._decide():
+                    continue
+                if final_check is None:
                     return SAT
+                self._pending = []
+                try:
+                    verdict = final_check()
+                    refinements = self._pending
+                finally:
+                    self._pending = None
+                if verdict:
+                    if refinements:
+                        raise RuntimeError("final_check accepted and refined")
+                    return SAT
+                if verdict is None:
+                    self._backtrack(0)
+                    return None
+                if not refinements:
+                    # The same full assignment would come straight back.
+                    raise RuntimeError("final_check refuted without a clause")
+                conflict = self._refine(refinements)
+                if self._unsat:
+                    return UNSAT
+            if conflict is not None:
+                conflicts += 1
+                self.stats.conflicts += 1
+                if not self.trail_lim:
+                    self._unsat = True
+                    return UNSAT
+                learned, backjump = self._analyze(conflict)
+                self._backtrack(backjump)
+                if len(learned) == 1:
+                    if not self._enqueue(learned[0], None):
+                        self._unsat = True
+                        return UNSAT
+                else:
+                    index = self._attach(learned, learned=True)
+                    self._enqueue(learned[0], index)
+                self.stats.learned += 1
+                self.stats.learned_literals += len(learned)
+                self._decay()
+                if max_conflicts is not None and conflicts >= max_conflicts:
+                    self._backtrack(0)
+                    return None
+            # A refuted model counts toward the next restart like a
+            # conflict: a final check that keeps refuting models would
+            # otherwise walk one corner of the space for good.
+            restart_count += 1
+            if restart_count >= restart_limit:
+                restart_count = 0
+                restart_number += 1
+                restart_limit = _RESTART_BASE * luby(restart_number)
+                self.stats.restarts += 1
+                self._backtrack(0)
+
+    def _refine(self, refinements):
+        """Add the clauses a final check refuted a full assignment with.
+
+        One clause false under the assignment is kept in place: the
+        search backjumps to the level below which the clause stops being
+        false — asserting its last literal there when that literal is
+        alone on its level, or returning the clause for conflict analysis
+        when two share the top level.  Anything else (several clauses, a
+        clause not false) is added at level 0, as between ``solve()``
+        calls.  Returns the clause to analyse, or None."""
+        lits = list(dict.fromkeys(refinements[0]))
+        level = self.level
+        if len(refinements) != 1 or any(
+            abs(lit) > self.num_vars or self._value(lit) is not False
+            for lit in lits
+        ):
+            for clause in refinements:
+                self.add_clause(clause)
+            return None
+        lits = [lit for lit in lits if level[abs(lit)] > 0]
+        if not lits:
+            self._unsat = True
+            return None
+        lits.sort(key=lambda lit: level[abs(lit)], reverse=True)
+        if len(lits) == 1:
+            self._backtrack(0)
+            self._enqueue(lits[0], None)
+            return None
+        top = level[abs(lits[0])]
+        second = level[abs(lits[1])]
+        if top > second:
+            self._backtrack(second)
+            self._enqueue(lits[0], self._attach(lits, learned=False))
+            return None
+        self._backtrack(top)
+        self._attach(lits, learned=False)
+        return lits
 
     def model(self):
         """Assignment after SAT: {var: bool} (level-0 units included)."""

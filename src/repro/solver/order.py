@@ -1,0 +1,166 @@
+"""The order theory, checked inside the CDCL search.
+
+Every order atom ``O_a < O_b`` the SAT core assigns adds one directed
+edge between two SAPs; the fixed edges (Fmo plus fixed Fso) are always
+present.  A schedule exists only while this digraph stays acyclic, so
+the theory's job is incremental cycle detection under assertion and
+backtracking:
+
+* the graph keeps a topological order of its nodes (Pearce–Kelly
+  dynamic topological sort).  An edge ``x → y`` with ``y`` already
+  after ``x`` cannot close a cycle and costs O(1).  Otherwise a forward
+  search from ``y``, bounded to nodes ordered before ``x``, either
+  reaches ``x`` — the path plus the new edge is a cycle — or proves
+  there is none, and the affected region is reordered;
+* backtracking pops edges in trail order.  Removing an edge never
+  invalidates a topological order, so it is O(1) per edge;
+* a cycle is returned as a conflict clause: the negations of the atom
+  literals on it.  Fixed edges carry no literal.
+
+:class:`~repro.solver.cdcl.CDCLSolver` calls :meth:`OrderTheory.assign`
+after each unit-propagation fixpoint and analyses the conflict clause
+like any other, so an order refinement costs one backjump instead of a
+fresh ``solve()`` from decision level 0.
+"""
+
+import heapq
+
+
+class OrderTheory:
+    """Incremental acyclicity of fixed edges plus assigned order atoms.
+
+    ``n_nodes`` nodes are numbered ``0 … n_nodes-1``, and the initial
+    topological order prefers lower numbers; ``fixed_edges`` is an
+    iterable of ``(a, b)`` node pairs forming a DAG.  Order atoms are
+    registered with :meth:`add_atom`; other variables are ignored."""
+
+    def __init__(self, n_nodes, fixed_edges):
+        succ = [[] for _ in range(n_nodes)]
+        pred = [[] for _ in range(n_nodes)]
+        indeg = [0] * n_nodes
+        for a, b in fixed_edges:
+            succ[a].append((b, 0))
+            pred[b].append(a)
+            indeg[b] += 1
+        # Kahn's algorithm, lowest-numbered ready node first.
+        ready = [node for node in range(n_nodes) if indeg[node] == 0]
+        order = []
+        while ready:
+            node = heapq.heappop(ready)
+            order.append(node)
+            for nxt, _ in succ[node]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    heapq.heappush(ready, nxt)
+        if len(order) != n_nodes:
+            raise ValueError("fixed order constraints are cyclic (unsat)")
+        self.ord = [0] * n_nodes
+        for position, node in enumerate(order):
+            self.ord[node] = position
+        self.succ = succ  # node -> [(successor, literal or 0)]
+        self.pred = pred  # node -> [predecessor]
+        self.var_edges = [None]  # var -> (a, b) its positive literal orders
+        self.asserted = []  # (tail, head, trail position) in trail order
+
+    def add_atom(self, var, a, b):
+        """Track ``var``: its positive literal orders node ``a`` before
+        ``b``, its negative literal ``b`` before ``a``."""
+        edges = self.var_edges
+        if var >= len(edges):
+            edges.extend([None] * (var + 1 - len(edges)))
+        edges[var] = (a, b)
+
+    def assign(self, trail, start):
+        """Assert the order atoms on ``trail[start:]``.
+
+        Returns ``(conflict, stop)``: ``conflict`` is ``None`` or a
+        clause whose literals are all false under the trail, and
+        ``stop`` is the trail position the theory has consumed up to —
+        the failing literal's position on a conflict, ``len(trail)``
+        otherwise."""
+        var_edges = self.var_edges
+        n_vars = len(var_edges)
+        for position in range(start, len(trail)):
+            lit = trail[position]
+            var = lit if lit > 0 else -lit
+            if var >= n_vars:
+                continue
+            pair = var_edges[var]
+            if pair is None:
+                continue
+            a, b = pair if lit > 0 else (pair[1], pair[0])
+            conflict = self._add_edge(a, b, lit, position)
+            if conflict is not None:
+                return conflict, position
+        return None, len(trail)
+
+    def phase(self, var, saved):
+        """Decide an order atom the way the current topological order
+        already places its nodes: that edge cannot close a cycle."""
+        pair = self.var_edges[var] if var < len(self.var_edges) else None
+        if pair is None:
+            return saved
+        return self.ord[pair[0]] < self.ord[pair[1]]
+
+    def backtrack(self, trail_len):
+        """Drop every edge asserted at trail position ``>= trail_len``."""
+        asserted = self.asserted
+        succ, pred = self.succ, self.pred
+        while asserted and asserted[-1][2] >= trail_len:
+            a, b, _ = asserted.pop()
+            succ[a].pop()
+            pred[b].pop()
+
+    def _add_edge(self, x, y, lit, position):
+        ord_ = self.ord
+        upper = ord_[x]
+        lower = ord_[y]
+        if lower < upper:
+            # Forward from y over nodes ordered before x: nodes ordered
+            # after x cannot reach it.  Breadth-first, so the reported
+            # cycle has the fewest edges the search can show.
+            parent = {y: None}
+            frontier = [y]
+            succ = self.succ
+            for node in frontier:
+                for nxt, edge_lit in succ[node]:
+                    rank = ord_[nxt]
+                    if rank == upper:
+                        return self._cycle(parent, node, edge_lit, lit)
+                    if rank < upper and nxt not in parent:
+                        parent[nxt] = (node, edge_lit)
+                        frontier.append(nxt)
+            # No cycle: nodes reaching x from after y move in front of
+            # everything y reaches, each group keeping its own order.
+            back = [x]
+            seen = {x}
+            pred = self.pred
+            for node in back:
+                for prev in pred[node]:
+                    if ord_[prev] > lower and prev not in seen:
+                        seen.add(prev)
+                        back.append(prev)
+            back.sort(key=ord_.__getitem__)
+            frontier.sort(key=ord_.__getitem__)
+            moved = back + frontier
+            slots = sorted(ord_[node] for node in moved)
+            for node, slot in zip(moved, slots):
+                ord_[node] = slot
+        self.succ[x].append((y, lit))
+        self.pred[y].append(x)
+        self.asserted.append((x, y, position))
+        return None
+
+    @staticmethod
+    def _cycle(parent, node, edge_lit, lit):
+        """The conflict clause for path ``y ⇝ node → x`` plus ``x → y``."""
+        clause = [-lit]
+        if edge_lit:
+            clause.append(-edge_lit)
+        step = parent[node]
+        while step is not None:
+            node, edge_lit = step
+            if edge_lit:
+                clause.append(-edge_lit)
+            step = parent[node]
+        return clause

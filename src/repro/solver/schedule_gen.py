@@ -45,6 +45,7 @@ from repro.runtime import events as ev
 from repro.runtime.errors import MiniRuntimeError
 from repro.analysis.symbolic import sym_eval
 from repro.constraints.context_switch import thread_segments
+from repro.solver.validate import forced_relock
 
 
 @dataclass
@@ -315,8 +316,15 @@ class ScheduleGenerator:
                 if max_steps is not None and steps >= max_steps:
                     finish(True)
                     return
+                relock = None
+                if state.schedule:
+                    relock = forced_relock(
+                        self.system.saps,
+                        self.system.saps[state.schedule[-1]],
+                        state.locks,
+                    )
                 if len(state.schedule) == self.sap_count:
-                    if (
+                    if relock is None and (
                         not exact_preemptions
                         or state.interleaved == max_preemptions
                     ) and (
@@ -331,17 +339,21 @@ class ScheduleGenerator:
                     break
                 candidates = []
                 cur = state.current
-                for uid, wake in self._pop_choices(
-                    state, self._enabled_saps(state, cur)
-                ):
-                    candidates.append((uid, wake))
-                for thread in self.threads:
-                    if thread == cur:
-                        continue
+                if relock is not None:
+                    if relock in state.ready[cur]:
+                        candidates.append((relock, None))
+                else:
                     for uid, wake in self._pop_choices(
-                        state, self._enabled_saps(state, thread)
+                        state, self._enabled_saps(state, cur)
                     ):
                         candidates.append((uid, wake))
+                    for thread in self.threads:
+                        if thread == cur:
+                            continue
+                        for uid, wake in self._pop_choices(
+                            state, self._enabled_saps(state, thread)
+                        ):
+                            candidates.append((uid, wake))
                 if not candidates:
                     break  # structural dead end
                 if rng is not None and len(candidates) > 1:

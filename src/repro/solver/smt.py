@@ -12,15 +12,22 @@ Boolean skeleton (CDCL)
 Order theory
     The fixed edges (Fmo + fixed Fso) form a DAG whose transitive closure
     is precomputed; order atoms implied either way become unit clauses up
-    front.  After each SAT solution, the digraph of fixed edges plus
-    assigned atoms is checked for cycles; a cycle yields a conflict clause
-    over the atom literals on it.
+    front.  The rest runs inside the CDCL search
+    (:class:`~repro.solver.order.OrderTheory`): every assigned atom adds
+    an edge to an incrementally maintained DAG, and an edge that closes a
+    cycle yields a conflict clause over the atom literals on it, analysed
+    like any other conflict.  No full assignment with a cyclic order ever
+    reaches the value theory.  (The frozen reference core has no theory
+    hook; for it the cycle check runs after each SAT solution.)
 
 Value theory (lazy)
     A full assignment fixes each read's source write, hence (recursively)
     every read's concrete value.  All path conditions and the bug
     predicate are evaluated; a failure yields a blocking clause over the
-    reads-from choices actually consulted during evaluation.
+    reads-from choices actually consulted during evaluation.  The SAT core
+    runs this check (and the schedule checks below) as its ``final_check``
+    and backjumps over the blocking clause instead of restarting the
+    search from decision level 0.
 
 The satisfying total order is extracted by a greedy topological sort that
 prefers staying on the current thread — linearizations of one solution
@@ -53,7 +60,8 @@ from repro.analysis.symbolic import sym_eval
 from repro.constraints.context_switch import count_context_switches
 from repro.constraints.model import INIT, OLt, RFChoice, SWChoice
 from repro.solver.cdcl import CDCLSolver, SAT, UNSAT
-from repro.solver.validate import ScheduleValidator
+from repro.solver.order import OrderTheory
+from repro.solver.validate import ScheduleValidator, forced_relock
 
 
 @dataclass
@@ -157,6 +165,30 @@ def _find_cycle(adjacency):
     return None
 
 
+class _LazyEnv(dict):
+    """Symbol name -> concrete value, resolved on first use by
+    ``resolve(read_uid)``; every access adds the read's uid to
+    ``touched``."""
+
+    def __init__(self, sym_to_read, resolve, touched):
+        super().__init__()
+        self.sym_to_read = sym_to_read
+        self.resolve = resolve
+        self.touched = touched
+
+    def __missing__(self, sym_name):
+        sap = self.sym_to_read[sym_name]
+        self.touched.add(sap.uid)
+        value = self.resolve(sap.uid)
+        self[sym_name] = value
+        return value
+
+    def __getitem__(self, sym_name):
+        if sym_name in self:
+            self.touched.add(self.sym_to_read[sym_name].uid)
+        return dict.__getitem__(self, sym_name)
+
+
 class ClapSmtSolver:
     """CDCL(T) solver for one :class:`ConstraintSystem`."""
 
@@ -196,7 +228,29 @@ class ClapSmtSolver:
         for summary in system.summaries.values():
             for name, sap in summary.reads.items():
                 self._sym_to_read[name] = sap
+        # A core that can check a theory inside its search gets the order
+        # theory; atoms register with it as ``_order_lit`` creates them.
+        self.order = None
+        if hasattr(self.sat, "attach_theory"):
+            self.order = self._order_theory(uids)
+            self.sat.attach_theory(self.order)
         self._build()
+
+    def _order_theory(self, uids):
+        """The in-search order theory over the SAPs and fixed edges.
+
+        Nodes are numbered threads-descending, program order within a
+        thread, so until the search learns otherwise each decision runs
+        later threads' SAPs first — whole threads at a time, the fewest
+        switches, and the order a phase-``False`` decision on an atom
+        ``O_lo < O_hi`` picks."""
+        ranked = sorted(uids, key=lambda uid: uid[1])
+        ranked.sort(key=lambda uid: uid[0], reverse=True)
+        node = {uid: i for i, uid in enumerate(ranked)}
+        self._node = node
+        return OrderTheory(
+            len(node), [(node[a], node[b]) for a, b in self.fixed_edges]
+        )
 
     # -- encoding -----------------------------------------------------------
 
@@ -221,6 +275,8 @@ class ClapSmtSolver:
             # never enter var_atom: their (unconstrained) SAT values must
             # not leak edges into the order-theory check.
             self.var_atom[var] = OLt(lo, hi)
+            if self.order is not None:
+                self.order.add_atom(var, self._node[lo], self._node[hi])
         return var if (a, b) == (lo, hi) else -var
 
     def _choice_lit(self, atom):
@@ -277,34 +333,45 @@ class ClapSmtSolver:
 
     # -- theory checks ---------------------------------------------------------
 
-    def _assigned_atoms(self, model):
-        """Current OLt edges and choices from a SAT model."""
-        edges = []
+    def _assigned_choices(self, model):
+        """The reads-from map and signal-wait pairs of a SAT model."""
         rf = {}
         sw = []
         for var, value in model.items():
-            atom = self.var_atom.get(var)
-            if atom is None:
+            if not value:
                 continue
+            atom = self.var_atom.get(var)
+            if isinstance(atom, RFChoice):
+                rf[atom.read] = atom.source
+            elif isinstance(atom, SWChoice):
+                sw.append(atom)
+        return rf, sw
+
+    def _order_edges(self, model):
+        """The model's order atoms as ``(before, after, literal)`` edges."""
+        edges = []
+        for var, value in model.items():
+            atom = self.var_atom.get(var)
             if isinstance(atom, OLt):
                 if value:
                     edges.append((atom.a, atom.b, var))
                 else:
                     edges.append((atom.b, atom.a, -var))
-            elif isinstance(atom, RFChoice):
-                if value:
-                    rf[atom.read] = atom.source
-            elif isinstance(atom, SWChoice):
-                if value:
-                    sw.append(atom)
-        return edges, rf, sw
+        return edges
 
-    def _check_order(self, atom_edges):
+    def _order_graph(self, atom_edges):
+        """Adjacency of the fixed edges plus ``atom_edges``."""
         adjacency = {uid: [] for uid in self.system.saps}
         for a, b in self.fixed_edges:
             adjacency[a].append((b, None))
         for a, b, sat_lit in atom_edges:
             adjacency[a].append((b, sat_lit))
+        return adjacency
+
+    def _check_order(self, atom_edges):
+        """The order graph and a conflict clause for one of its cycles
+        (None when acyclic)."""
+        adjacency = self._order_graph(atom_edges)
         cycle_lits = _find_cycle(adjacency)
         if cycle_lits is None:
             return adjacency, None
@@ -324,21 +391,6 @@ class ClapSmtSolver:
         # plus the cone of the write expression it reads from).
         cone = {}
         touched = set()  # syms accessed by the expression being evaluated
-
-        class LazyEnv(dict):
-            def __missing__(env_self, sym_name):
-                sap = self._sym_to_read[sym_name]
-                touched.add(sap.uid)
-                value = resolve(sap.uid)
-                env_self[sym_name] = value
-                return value
-
-            def __getitem__(env_self, sym_name):
-                if sym_name in env_self:
-                    touched.add(self._sym_to_read[sym_name].uid)
-                return dict.__getitem__(env_self, sym_name)
-
-        lazy = LazyEnv()
 
         def resolve(read_uid):
             if read_uid in env:
@@ -375,6 +427,7 @@ class ClapSmtSolver:
                 out |= cone.get(uid, {uid})
             return out
 
+        lazy = _LazyEnv(self._sym_to_read, resolve, touched)
         try:
             for cond in system.conditions:
                 touched.clear()
@@ -388,6 +441,10 @@ class ClapSmtSolver:
             return lazy, set(env) | touched, "cyclic value dependency"
         except MiniRuntimeError as exc:
             return lazy, blamed(), str(exc)
+        finally:
+            # resolve() and lazy refer to each other; part them so the
+            # pair, and the solver resolve() holds, go by reference count.
+            lazy.resolve = None
         return lazy, set(), None
 
     def _block_choices(self, rf, consulted):
@@ -440,7 +497,8 @@ class ClapSmtSolver:
         """Topological sort that also honors the operational rules the
         combo's semantic edges alone cannot express: lock exclusion and
         condvar park/wake (two critical sections on one mutex have no
-        fixed relative order, yet must not interleave), and the combo's
+        fixed relative order, yet must not interleave; a woken wait
+        re-takes a free mutex in the same step), and the combo's
         reads-from map (the edge puts the source before the read, but
         nothing in the graph stops *another* write from landing in
         between and changing the value).
@@ -574,10 +632,13 @@ class ClapSmtSolver:
                     signaled.discard(thread)
 
         def dfs(current_thread):
+            relock = None
+            if schedule:
+                relock = forced_relock(saps, saps[schedule[-1]], locks)
             if not ready:
-                return len(schedule) == len(adjacency)
+                return relock is None and len(schedule) == len(adjacency)
             eligible = sorted(
-                (uid for uid in ready if runnable(uid)),
+                (uid for uid in ready if runnable(uid) and relock in (None, uid)),
                 key=lambda u: (u[0] != current_thread, u[0], u[1]),
             )
             if not eligible:
@@ -625,7 +686,7 @@ class ClapSmtSolver:
         order-cycle check on a hit is sound (combos, not models, are what
         the bound loop blocks)."""
         model = self.sat.model()
-        atom_edges, rf, sw = self._assigned_atoms(model)
+        rf, sw = self._assigned_choices(model)
         combo_key = None
         if combo_cache is not None:
             combo_key = (
@@ -636,10 +697,13 @@ class ClapSmtSolver:
             if hit is not None and hit is not False:
                 schedule, outcome = hit
                 return (schedule, outcome, model, True), None
-        adjacency, conflict = self._check_order(atom_edges)
-        if conflict is not None:
-            self.sat.add_clause(conflict)
-            return None, None
+        adjacency = None
+        if self.order is None:
+            # The frozen reference core checks the order after the fact.
+            adjacency, conflict = self._check_order(self._order_edges(model))
+            if conflict is not None:
+                self.sat.add_clause(conflict)
+                return None, None
         env, consulted, failure = self._check_values(rf)
         if failure is not None:
             if not self._block_choices(rf, consulted):
@@ -662,8 +726,20 @@ class ClapSmtSolver:
                 combo_cache[combo_key] = (schedule, outcome)
                 return (schedule, outcome, model, True), None
             combo_cache[combo_key] = False
+        if adjacency is None:
+            # The search kept the order acyclic.
+            adjacency = self._order_graph(self._order_edges(model))
         schedule = self._linearize(adjacency)
         outcome = self.validator.validate(schedule)
+        if not outcome.ok and combo_cache is None:
+            # Single-shot mode blocks the whole combo below, so first give
+            # the combo its own feasible walk: this model's order atoms may
+            # be all that is wrong (e.g. a thread run between a wait and
+            # the re-lock the runtime performs in the same step).
+            canonical = self._canonical_combo_solution(rf, sw)
+            if canonical is not None:
+                schedule, outcome = canonical
+                return (schedule, outcome, model, True), None
         if not outcome.ok:
             # The operational wait/signal semantics rejected this
             # solution.  The rejection is evidence against *this model's
@@ -748,34 +824,62 @@ class ClapSmtSolver:
             **extra,
         )
 
+    def _search(self, examine, assumptions=None):
+        """Run the SAT core until ``examine`` accepts a model (SAT), the
+        space is exhausted (UNSAT) or ``examine`` stops the search (None).
+
+        ``examine()`` is one CEGAR step on the current model: True
+        accepts it, False refutes it after adding a clause, None stops.
+        A core with an in-search theory calls it on each full assignment
+        and backjumps over each refutation; the frozen reference core is
+        re-solved from level 0 after each one."""
+        kwargs = {} if assumptions is None else {"assumptions": assumptions}
+        if self.order is not None:
+            return self.sat.solve(final_check=examine, **kwargs)
+        while True:
+            status = self.sat.solve(**kwargs)
+            if status != SAT:
+                return status
+            verdict = examine()
+            if verdict is not False:
+                return SAT if verdict else None
+
     def solve(self, max_iterations=100000, max_seconds=None, _start=None):
         start = time.monotonic() if _start is None else _start
         iterations = 0
-        while True:
+        found = None
+        stop = None
+
+        def examine():
+            nonlocal iterations, found, stop
             iterations += 1
             if max_seconds is not None and time.monotonic() - start > max_seconds:
-                return self._fail("timeout", iterations, start)
+                stop = "timeout"
+                return None
             if iterations > max_iterations:
-                return self._fail("iteration limit", iterations, start)
-            status = self.sat.solve()
-            if status == UNSAT:
-                return self._fail("unsatisfiable", iterations, start)
-            solution, fatal = self._try_model()
-            if fatal is not None:
-                return self._fail(fatal, iterations, start)
-            if solution is None:
-                continue
-            schedule, outcome, _model, _certified = solution
-            return SmtResult(
-                True,
-                schedule=schedule,
-                reads_from=outcome.reads_from,
-                env=outcome.env,
-                context_switches=outcome.context_switches,
-                iterations=iterations,
-                solve_time=time.monotonic() - start,
-                sat_stats=self._sat_stats(),
-            )
+                stop = "iteration limit"
+                return None
+            found, stop = self._try_model()
+            if stop is not None:
+                return None
+            return found is not None
+
+        status = self._search(examine)
+        if status == UNSAT:
+            return self._fail("unsatisfiable", iterations, start)
+        if status is None:
+            return self._fail(stop, iterations, start)
+        schedule, outcome, _model, _certified = found
+        return SmtResult(
+            True,
+            schedule=schedule,
+            reads_from=outcome.reads_from,
+            env=outcome.env,
+            context_switches=outcome.context_switches,
+            iterations=iterations,
+            solve_time=time.monotonic() - start,
+            sat_stats=self._sat_stats(),
+        )
 
     # -- minimal-context-switch bound loop -----------------------------------
 
@@ -798,7 +902,7 @@ class ClapSmtSolver:
         them for free while keeping all learned clauses — the whole point
         of the incremental core.
 
-        ``round_iterations`` caps each round's CEGAR iterations.  An
+        ``round_iterations`` caps the models each round examines.  An
         infeasible low bound can only be refuted by blocking theory-valid
         combinations one at a time, which on real traces is an enormous
         space; like the generate-and-validate driver's time-sliced rounds,
@@ -845,91 +949,39 @@ class ClapSmtSolver:
                     for j in range(min_bound + 1, max_cs + 2)
                 ]
                 if use_guard
-                else []
+                else None
             )
             round_start = time.monotonic()
             before = stats.snapshot() if use_guard else None
             round_iters = 0
-            exhausted = False
+            found = None
+            stop = None  # why the round stopped early; "" = move on
 
-            def close_round(found):
-                entry = stats.delta(before) if use_guard else {}
-                entry.update(
-                    bound=c,
-                    wall=time.monotonic() - round_start,
-                    iterations=round_iters,
-                    found=found,
-                    exhausted=exhausted,
-                )
-                round_stats.append(entry)
-                if on_round is not None:
-                    on_round(entry)
-
-            while True:
-                if (
-                    round_iterations is not None
-                    and round_iters >= round_iterations
-                ):
-                    break  # budget spent; abandon this bound, try the next
+            def examine():
+                nonlocal iterations, round_iters, found, stop
+                if round_iterations is not None and round_iters >= round_iterations:
+                    stop = ""  # budget spent; abandon this bound, try the next
+                    return None
                 iterations += 1
                 round_iters += 1
-                if (
-                    max_seconds is not None
-                    and time.monotonic() - start > max_seconds
-                ):
-                    close_round(False)
-                    return self._fail(
-                        "timeout", iterations, start, round_stats=round_stats
-                    )
+                if max_seconds is not None and time.monotonic() - start > max_seconds:
+                    stop = "timeout"
+                    return None
                 if iterations > max_iterations:
-                    close_round(False)
-                    return self._fail(
-                        "iteration limit",
-                        iterations,
-                        start,
-                        round_stats=round_stats,
-                    )
-                if use_guard:
-                    status = self.sat.solve(assumptions=assumptions)
-                else:
-                    status = self.sat.solve()
-                if status == UNSAT:
-                    if use_guard and self.sat._unsat:
-                        close_round(False)
-                        return self._fail(
-                            "unsatisfiable",
-                            iterations,
-                            start,
-                            round_stats=round_stats,
-                        )
-                    exhausted = True
-                    break  # bound c exhausted; retry with a larger bound
-                solution, fatal = self._try_model(
+                    stop = "iteration limit"
+                    return None
+                solution, stop = self._try_model(
                     combo_cache=combo_cache,
                     reject_guard=ladder[c + 1] if use_guard else None,
                 )
-                if fatal is not None:
-                    close_round(False)
-                    return self._fail(
-                        fatal, iterations, start, round_stats=round_stats
-                    )
+                if stop is not None:
+                    return None
                 if solution is None:
-                    continue
-                schedule, outcome, model, certified = solution
+                    return False
+                _schedule, outcome, model, certified = solution
                 if outcome.context_switches <= c:
-                    close_round(True)
-                    return SmtResult(
-                        True,
-                        schedule=schedule,
-                        reads_from=outcome.reads_from,
-                        env=outcome.env,
-                        context_switches=outcome.context_switches,
-                        iterations=iterations,
-                        solve_time=time.monotonic() - start,
-                        bound=c,
-                        round_stats=round_stats,
-                        sat_stats=self._sat_stats(),
-                    )
+                    found = solution
+                    return True
                 if certified:
                     # This combo canonically needs ``k`` switches:
                     # ``l_k ∨ ¬combo`` blocks it exactly while the
@@ -950,12 +1002,44 @@ class ClapSmtSolver:
                     # Nothing to block: this solution shape is the only
                     # one; later rounds will accept it once c reaches its
                     # switch count.
-                    break
-                if use_guard:
-                    self.sat.add_clause([ladder[k]] + lits)
-                else:
-                    self.sat.add_clause(lits)
-            close_round(False)
+                    stop = ""
+                    return None
+                self.sat.add_clause([ladder[k]] + lits if use_guard else lits)
+                return False
+
+            status = self._search(examine, assumptions)
+            exhausted = status == UNSAT and not (use_guard and self.sat._unsat)
+            entry = stats.delta(before) if use_guard else {}
+            entry.update(
+                bound=c,
+                wall=time.monotonic() - round_start,
+                iterations=round_iters,
+                found=found is not None,
+                exhausted=exhausted,
+            )
+            round_stats.append(entry)
+            if on_round is not None:
+                on_round(entry)
+            if found is not None:
+                schedule, outcome, _model, _certified = found
+                return SmtResult(
+                    True,
+                    schedule=schedule,
+                    reads_from=outcome.reads_from,
+                    env=outcome.env,
+                    context_switches=outcome.context_switches,
+                    iterations=iterations,
+                    solve_time=time.monotonic() - start,
+                    bound=c,
+                    round_stats=round_stats,
+                    sat_stats=self._sat_stats(),
+                )
+            if status == UNSAT and not exhausted:
+                return self._fail(
+                    "unsatisfiable", iterations, start, round_stats=round_stats
+                )
+            if stop:
+                return self._fail(stop, iterations, start, round_stats=round_stats)
         return self._fail(
             "no schedule within %d context switches" % max_cs,
             iterations,

@@ -16,7 +16,9 @@ final sanity gate of the CDCL(T) solver:
 * lock/unlock, fork/start, exit/join and wait/signal feasibility mirror
   the deterministic replayer exactly (Fso) — in particular a signal wakes
   the *parked* waiter whose wait SAP comes earliest in the remaining
-  schedule, which is precisely the replayer's wake policy.
+  schedule, which is precisely the replayer's wake policy — and a woken
+  wait whose mutex is free re-takes it in the same step, so its re-lock
+  must come next.
 """
 
 from dataclasses import dataclass, field
@@ -123,6 +125,14 @@ class ScheduleValidator:
                         False, "wait %r runs without a wake-up signal" % (uid,)
                     )
                 signaled.discard(thread)
+                relock = forced_relock(system.saps, sap, locks)
+                if relock is not None and (
+                    i + 1 == len(schedule) or tuple(schedule[i + 1]) != relock
+                ):
+                    return ValidationResult(
+                        False,
+                        "wait %r does not re-take its free mutex at once" % (uid,),
+                    )
             elif kind in (ev.SIGNAL, ev.BROADCAST):
                 waiters = [
                     w
@@ -186,6 +196,24 @@ class ScheduleValidator:
         return ValidationResult(
             True, env=env, reads_from=reads_from, context_switches=switches
         )
+
+
+def forced_relock(saps, last, locks):
+    """The uid of the SAP that must run right after SAP ``last``, or None.
+
+    The runtime runs a woken ``wait(cv, m)`` and, when ``m`` is free (per
+    ``locks``: mutex -> holder or None), its re-lock of ``m`` in one step,
+    so nothing can be scheduled in between.  The uid is missing from
+    ``saps`` when the recorded path ends at the wait: no schedule that
+    runs that wait with ``m`` free can be replayed."""
+    if last.kind != ev.WAIT:
+        return None
+    uid = (last.thread, last.index + 1)
+    # m is the re-lock's mutex, or the releasing unlock's just before.
+    for sap in (saps.get(uid), saps.get((last.thread, last.index - 1))):
+        if sap is not None and sap.kind in (ev.LOCK, ev.UNLOCK):
+            return uid if locks.get(sap.addr) is None else None
+    return None
 
 
 def validate_schedule(system, schedule, check_complete=True):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.clap import ClapConfig, ClapPipeline
+from repro.runtime.replay import replay_schedule
 from repro.constraints.context_switch import count_context_switches
 from repro.solver.schedule_gen import ScheduleGenerator, csp_universe
 from repro.solver.validate import ScheduleValidator
@@ -99,7 +100,8 @@ def test_csp_universe_shape(race_system):
         assert 1 <= k <= len(race_system.summaries[t2].saps)
 
 
-def test_condvar_program_generates_feasible_schedules():
+def condvar_system():
+    """(pipeline, system) of a passing condvar run, bug predicate left out."""
     pipe = ClapPipeline(CONDVAR_SRC, ClapConfig(stickiness=0.4))
     recorded = pipe.record_once(3)
     assert recorded.bug is None
@@ -122,7 +124,11 @@ def test_condvar_program_generates_feasible_schedules():
     edges, per_thread = encode_memory_order(summaries, "sc")
     system.hard_edges.extend(edges)
     system.thread_order = per_thread
+    return pipe, system
 
+
+def test_condvar_program_generates_feasible_schedules():
+    _pipe, system = condvar_system()
     gen = ScheduleGenerator(system)
     validator = ScheduleValidator(system)
     found = 0
@@ -131,6 +137,24 @@ def test_condvar_program_generates_feasible_schedules():
         if outcome.ok:
             found += 1
     assert found > 0, "wait/signal program must admit feasible schedules"
+
+
+def test_generated_waits_retake_a_free_mutex_at_once():
+    """A woken wait re-takes its free mutex in the same runtime step; the
+    generator does the same, so the validator never rejects a generated
+    schedule for it and every schedule it accepts replays exactly."""
+    pipe, system = condvar_system()
+    validator = ScheduleValidator(system)
+    replayed = 0
+    for schedule in ScheduleGenerator(system, value_guided=False).generate(
+        max_preemptions=3, max_schedules=300
+    ):
+        outcome = validator.validate(schedule)
+        assert "re-take" not in outcome.reason, schedule
+        if outcome.ok:
+            replay_schedule(pipe.program, schedule, "sc", shared=pipe.shared)
+            replayed += 1
+    assert replayed > 0
 
 
 SINGLE_THREAD_SRC = """

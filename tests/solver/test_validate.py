@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.clap import ClapConfig, ClapPipeline
+from repro.runtime.replay import ReplayError, replay_schedule
 from repro.solver.smt import solve_constraints
 from repro.solver.validate import ScheduleValidator, validate_schedule
 
@@ -131,6 +132,34 @@ def test_wait_signal_semantics_validated():
         bad.insert(bad.index(signal_uid), wait_uid)
         outcome = validate_schedule(system, bad)
         assert not outcome.ok
+
+
+def test_wait_must_retake_free_mutex_at_once():
+    """A woken wait re-takes a free mutex in the same runtime step, so a
+    schedule that runs another thread's SAP in between is infeasible:
+    the validator rejects it exactly as the replayer does."""
+    system, recorded = condvar_system()
+    schedule = [tuple(uid) for uid in recorded.result.schedule()]
+    at = next(i for i, uid in enumerate(schedule) if system.saps[uid].kind == "wait")
+    wait = system.saps[schedule[at]]
+    # No other thread holds m at the wait in this run, so the re-lock
+    # follows it directly.
+    assert schedule[at + 1] == (wait.thread, wait.index + 1)
+    assert system.saps[schedule[at + 1]].kind == "lock"
+    # Pull the next other-thread SAP in between; per-thread program order
+    # is unchanged, since only the waiter's SAPs are crossed.
+    other = next(
+        i for i in range(at + 2, len(schedule)) if schedule[i][0] != wait.thread
+    )
+    bad = list(schedule)
+    bad.insert(at + 1, bad.pop(other))
+    outcome = validate_schedule(system, bad)
+    assert not outcome.ok
+    assert "re-take" in outcome.reason
+    pipe = ClapPipeline(CONDVAR_SRC, ClapConfig(stickiness=0.4))
+    with pytest.raises(ReplayError, match="schedule mismatch"):
+        replay_schedule(pipe.program, bad, "sc", shared=pipe.shared)
+    replay_schedule(pipe.program, schedule, "sc", shared=pipe.shared)
 
 
 def test_lock_exclusion_validated():
