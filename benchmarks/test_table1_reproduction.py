@@ -15,7 +15,6 @@ import pytest
 
 from repro.bench.harness import format_table1, run_table1_row
 from repro.bench.programs import TABLE1_NAMES, get_benchmark
-from repro.core.minimal_cs import minimize_context_switches
 
 from conftest import emit, pipeline_artifacts
 

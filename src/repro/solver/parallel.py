@@ -3,13 +3,14 @@
 The driver raises the preemption bound ``c`` from 0 upward.  At each bound
 it runs the value-guided bounded DFS of
 :class:`~repro.solver.schedule_gen.ScheduleGenerator`; every complete
-schedule it emits already satisfies Fmo, Fso and Fpath by construction, so
-"validation" reduces to the bug predicate plus (for defence in depth) a
-full re-check with the independent
-:class:`~repro.solver.validate.ScheduleValidator`.  The first bound that
-yields correct schedules stops the search, which also realizes Section
-4.2's *minimal context switches* loop ("start from zero, increment until a
-solution is found").
+schedule it emits already satisfies Fmo, Fso and Fpath by construction.
+The :class:`~repro.solver.validate.ScheduleValidator` runs each one on the
+same SAP step model, adding the bug predicate, the replayer's wake policy
+and the context-switch count; the independent check is the replayer
+(:mod:`repro.runtime.replay`).  The first bound that yields correct
+schedules stops the search, which also realizes Section 4.2's *minimal
+context switches* loop ("start from zero, increment until a solution is
+found").
 
 Parallel mode partitions the ``c >= 1`` rounds by the CSP triple of the
 *first* preemption — exactly the paper's one-process-per-CSP-set scheme —
@@ -19,8 +20,6 @@ and fans the partitions out over a process pool.
 import time
 from dataclasses import dataclass, field
 
-from repro.runtime.errors import MiniRuntimeError
-from repro.analysis.symbolic import sym_eval
 from repro.solver.schedule_gen import ScheduleGenerator
 from repro.solver.validate import ScheduleValidator
 
@@ -49,27 +48,6 @@ class GenerateValidateResult:
         return self.ok
 
 
-def _bug_holds(system, schedule, generator):
-    """Check the bug predicate of a complete generated schedule."""
-    # Re-derive the read environment by a linear scan (cheap, and keeps the
-    # generator free of bug-specific state).
-    env = {}
-    memory = dict(system.initial_values)
-    for uid in schedule:
-        sap = system.saps[uid]
-        if sap.is_read:
-            env[sap.value.name] = memory[sap.addr]
-        elif sap.is_write:
-            try:
-                memory[sap.addr] = sym_eval(sap.value, env)
-            except (KeyError, MiniRuntimeError):
-                return False
-    try:
-        return all(sym_eval(expr, env) for expr in system.bug_exprs)
-    except (KeyError, MiniRuntimeError):
-        return False
-
-
 def _search_round(
     generator,
     validator,
@@ -85,11 +63,10 @@ def _search_round(
     ``generator``/``validator`` are built once by the caller and reused
     across every probe and bound round — their construction walks the
     whole SAP graph, which used to be repeated per probe."""
-    system = generator.system
     generated = 0
     good = []
     stats = {}
-    for schedule in generator.generate(
+    for state in generator.walk(
         max_preemptions=c,
         exact_preemptions=c > 0,
         first_preemption=first_preemption,
@@ -99,11 +76,11 @@ def _search_round(
         stats=stats,
     ):
         generated += 1
-        if not _bug_holds(system, schedule, generator):
+        if state.model.bug_reason() is not None:
             continue
-        outcome = validator.validate(schedule)
+        outcome = validator.validate(state.schedule)
         if outcome.ok:
-            good.append((list(schedule), outcome.context_switches))
+            good.append((list(state.schedule), outcome.context_switches))
             if max_good is not None and len(good) >= max_good:
                 break
     exhausted = not stats.get("capped", True)

@@ -45,7 +45,7 @@ sequential loop directly and is bit-for-bit identical to
 import time
 
 from repro.constraints.stats import PortfolioStats, merge_sat_stats
-from repro.solver.parallel import _search_round
+from repro.solver.parallel import _GenvalProbeJob
 from repro.solver.smt import ClapSmtSolver, SmtResult, solve_constraints_bounded
 
 # Capped per-rung generate-and-validate probe budgets.  Small enough to
@@ -86,10 +86,9 @@ def _filter_faults(faults, task_id):
 class _PortfolioJob:
     """Picklable per-worker executor for both portfolio task kinds.
 
-    Carries the (read-only) constraint system; per-process heavyweight
-    structures (the genval generator/validator) are built lazily after
-    the worker process exists and cached on the instance, which is
-    process-local from that point on.
+    Carries the (read-only) constraint system.  A genval rung task runs
+    on a :class:`~repro.solver.parallel._GenvalProbeJob`, which builds
+    its generator and validator lazily in the worker process.
     """
 
     def __init__(
@@ -108,60 +107,24 @@ class _PortfolioJob:
         self.max_iterations = max_iterations
         self.max_seconds = max_seconds
         self.round_iterations = round_iterations
-        self.genval_schedules = genval_schedules
-        self.genval_steps = genval_steps
-        self.genval_good = genval_good
-        self._gen = None
-        self._val = None
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_gen"] = None
-        state["_val"] = None
-        return state
+        self.genval = _GenvalProbeJob(
+            system, genval_schedules, genval_steps, genval_good
+        )
 
     def __call__(self, spec, attempt, channel):
         from repro.service.faults import maybe_kill_worker
 
         task = spec["task"]
         faults = spec.get("faults")
-        maybe_kill_worker(faults, attempt)
         if task["kind"] == "genval":
-            return self._run_genval(task, faults)
+            # A deterministic probe pinned to the task's rung.
+            outcome = self.genval(
+                {"bound": task["rung"], "seed": None, "faults": faults}, attempt
+            )
+            outcome.update(kind="genval", rung=task["rung"])
+            return outcome
+        maybe_kill_worker(faults, attempt)
         return self._run_seq(channel, faults)
-
-    # -- generate-and-validate rung probe --------------------------------
-
-    def _run_genval(self, task, faults):
-        from repro.service.faults import maybe_slow_solve
-
-        maybe_slow_solve(faults)
-        if self._gen is None:
-            from repro.solver.schedule_gen import ScheduleGenerator
-            from repro.solver.validate import ScheduleValidator
-
-            self._gen = ScheduleGenerator(self.system)
-            self._val = ScheduleValidator(self.system)
-        start = time.monotonic()
-        generated, good, exhausted = _search_round(
-            self._gen,
-            self._val,
-            task["rung"],
-            None,
-            self.genval_schedules,
-            self.genval_steps,
-            self.genval_good,
-        )
-        return {
-            "status": "done",
-            "kind": "genval",
-            "task": task["id"],
-            "rung": task["rung"],
-            "generated": generated,
-            "good": [(list(s), cs) for s, cs in good],
-            "exhausted": exhausted,
-            "wall": time.monotonic() - start,
-        }
 
     # -- sequential ladder replica ----------------------------------------
 

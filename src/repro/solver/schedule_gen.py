@@ -19,18 +19,24 @@ most ``c``:
   can drain now or later); each choice forks a branch at no cost — these
   are reorderings, not context switches.
 
-Two engineering refinements over the paper's description (documented in
-DESIGN.md):
+Each branch steps a :class:`~repro.solver.validate.StepModel`, the same
+SAP step rules the validator applies, which gives two engineering
+refinements over the paper's description (documented in DESIGN.md):
 
-* **structural pruning** — lock/fork/join/wait enabledness is tracked
-  while popping, so structurally infeasible schedules are never emitted;
+* **structural pruning** — only SAPs the model does not block are
+  popped, and a woken wait is followed by its forced re-lock, so
+  structurally infeasible schedules are never emitted;
 * **value-guided pruning** — read values and path conditions are evaluated
   *during* generation (the paper validates complete candidates only);
   a branch dies at the first violated branch condition instead of
-  generating an exponential family of doomed completions.  The final bug
-  predicate is still checked on complete schedules, so the generated /
-  good split of Table 3 remains meaningful: "generated" counts complete
-  path-consistent schedules, "good" the ones that also manifest the bug.
+  generating an exponential family of doomed completions.  The bug
+  predicate is left to the validator on complete schedules, so the
+  generated / good split of Table 3 remains meaningful: "generated"
+  counts complete path-consistent schedules, "good" the ones that also
+  manifest the bug.
+
+What stays here is the search itself: the per-thread ready sets, the
+signal wake choices and the segment-budget charging.
 
 The CSP triple (t1, k, t2) — "t1's open segment is first interleaved by
 ``t2`` popping its k-th SAP" — is the *parallel partitioning key*: giving
@@ -39,60 +45,64 @@ search space like the paper's per-CSP-set processes.
 """
 
 import random
-from dataclasses import dataclass
 
 from repro.runtime import events as ev
-from repro.runtime.errors import MiniRuntimeError
-from repro.analysis.symbolic import sym_eval
 from repro.constraints.context_switch import thread_segments
-from repro.solver.validate import forced_relock
+from repro.solver.validate import StepModel
 
 
-@dataclass
 class _GenState:
-    ready: dict  # thread -> set of that thread's ready uids
-    indeg: dict  # uid -> remaining in-degree (within its thread)
-    popped_count: dict  # thread -> number of SAPs popped
-    locks: dict  # mutex -> owning thread or None
-    parked: dict  # thread -> parked wait sap or None
-    signaled: set  # threads woken, pending their wait SAP
-    done: set  # popped uids
-    schedule: list
-    current: str
-    # Segment bookkeeping.
-    seg_counts: dict  # (thread, seg_id) -> SAPs popped from that segment
-    open_segment: dict  # thread -> open segment id or None
-    marked: dict  # thread -> set of segment ids already charged
-    interleaved: int
-    first_mark: tuple | None  # (t1, k, t2) of the first charging event
-    memory: dict  # addr -> concrete value (value-guided mode)
-    env: dict  # sym name -> concrete value
+    """One branch of the bounded DFS."""
+
+    __slots__ = (
+        "model",
+        "ready",
+        "indeg",
+        "popped_count",
+        "schedule",
+        "current",
+        "seg_counts",
+        "open_segment",
+        "marked",
+        "interleaved",
+        "first_mark",
+    )
+
+    def __init__(self, model, ready, indeg, threads):
+        self.model = model  # memory, locks, condvars and done SAPs
+        self.ready = ready  # thread -> set of that thread's ready uids
+        self.indeg = indeg  # uid -> remaining in-degree (within its thread)
+        self.popped_count = {t: 0 for t in threads}  # thread -> SAPs popped
+        self.schedule = []
+        self.current = "1"
+        # Segment bookkeeping.
+        self.seg_counts = {}  # (thread, seg_id) -> SAPs popped from it
+        self.open_segment = {t: None for t in threads}  # thread -> seg id
+        # thread -> charged seg ids; frozen, so clones can share them.
+        self.marked = {t: frozenset() for t in threads}
+        self.interleaved = 0
+        self.first_mark = None  # (t1, k, t2) of the first charging event
 
     def clone(self):
-        return _GenState(
-            ready={t: set(s) for t, s in self.ready.items()},
-            indeg=dict(self.indeg),
-            popped_count=dict(self.popped_count),
-            locks=dict(self.locks),
-            parked=dict(self.parked),
-            signaled=set(self.signaled),
-            done=set(self.done),
-            schedule=list(self.schedule),
-            current=self.current,
-            seg_counts=dict(self.seg_counts),
-            open_segment=dict(self.open_segment),
-            marked={t: set(m) for t, m in self.marked.items()},
-            interleaved=self.interleaved,
-            first_mark=self.first_mark,
-            memory=dict(self.memory),
-            env=dict(self.env),
-        )
+        other = _GenState.__new__(_GenState)
+        other.model = self.model.clone()
+        other.ready = {t: set(s) for t, s in self.ready.items()}
+        other.indeg = dict(self.indeg)
+        other.popped_count = dict(self.popped_count)
+        other.schedule = list(self.schedule)
+        other.current = self.current
+        other.seg_counts = dict(self.seg_counts)
+        other.open_segment = dict(self.open_segment)
+        other.marked = dict(self.marked)
+        other.interleaved = self.interleaved
+        other.first_mark = self.first_mark
+        return other
 
 
 class ScheduleGenerator:
-    def __init__(self, system, value_guided=True):
+    def __init__(self, system):
         self.system = system
-        self.value_guided = value_guided
+        self.model = StepModel(system)
         self.threads = sorted(system.summaries)
         self.sap_count = len(system.saps)
         self.succ = {uid: [] for uid in system.saps}
@@ -102,14 +112,6 @@ class ScheduleGenerator:
                 self.succ[a].append(b)
                 base_indeg[b] += 1
         self.base_indeg = base_indeg
-        self.fork_of = {}
-        self.exit_of = {}
-        for summary in system.summaries.values():
-            for sap in summary.saps:
-                if sap.kind == ev.FORK:
-                    self.fork_of[sap.addr] = sap.uid
-                elif sap.kind == ev.EXIT:
-                    self.exit_of[sap.thread] = sap.uid
         # Segment map: uid -> segment id; (thread, seg id) -> length.
         self.segment_of = {}
         self.segment_len = {}
@@ -118,12 +120,6 @@ class ScheduleGenerator:
                 self.segment_len[(thread, seg_id)] = len(seg)
                 for uid in seg:
                     self.segment_of[uid] = seg_id
-        # thread -> {sap index: [PathCondition]} for value-guided pruning.
-        self.cond_index = {}
-        for cond in system.conditions:
-            self.cond_index.setdefault(cond.thread, {}).setdefault(
-                cond.after_index, []
-            ).append(cond)
 
     # ------------------------------------------------------------------ #
 
@@ -133,45 +129,8 @@ class ScheduleGenerator:
             if deg == 0:
                 ready[uid[0]].add(uid)
         return _GenState(
-            ready=ready,
-            indeg=dict(self.base_indeg),
-            popped_count={t: 0 for t in self.threads},
-            locks={},
-            parked={t: None for t in self.threads},
-            signaled=set(),
-            done=set(),
-            schedule=[],
-            current="1",
-            seg_counts={},
-            open_segment={t: None for t in self.threads},
-            marked={t: set() for t in self.threads},
-            interleaved=0,
-            first_mark=None,
-            memory=dict(self.system.initial_values),
-            env={},
+            self.model.clone(), ready, dict(self.base_indeg), self.threads
         )
-
-    def _enabled(self, state, uid):
-        sap = self.system.saps[uid]
-        kind = sap.kind
-        if kind == ev.LOCK:
-            return state.locks.get(sap.addr) is None
-        if kind == ev.WAIT:
-            return sap.thread in state.signaled
-        if kind == ev.START:
-            # No fork in the system means main or a checkpoint-resumed
-            # thread: its (re)start is unconstrained.
-            fork = self.fork_of.get(sap.thread)
-            return fork is None or fork in state.done
-        if kind == ev.JOIN:
-            exit_uid = self.exit_of.get(sap.addr)
-            if exit_uid is None:
-                return sap.addr in self.system.preexited
-            return exit_uid in state.done
-        return True
-
-    def _enabled_saps(self, state, thread):
-        return sorted(uid for uid in state.ready[thread] if self._enabled(state, uid))
 
     def _charge(self, state, thread, budget):
         """Charge other threads' open segments for a pop by ``thread``.
@@ -182,7 +141,7 @@ class ScheduleGenerator:
             seg_id = state.open_segment.get(other)
             if seg_id is None or seg_id in state.marked[other]:
                 continue
-            state.marked[other].add(seg_id)
+            state.marked[other] = state.marked[other] | {seg_id}
             state.interleaved += 1
             if state.first_mark is None:
                 state.first_mark = (other, state.popped_count[thread] + 1, thread)
@@ -199,7 +158,6 @@ class ScheduleGenerator:
             return False
         state.current = thread
         state.ready[thread].discard(uid)
-        state.done.add(uid)
         state.schedule.append(uid)
         state.popped_count[thread] += 1
         for nxt in self.succ[uid]:
@@ -211,55 +169,16 @@ class ScheduleGenerator:
         n = state.seg_counts.get(key, 0) + 1
         state.seg_counts[key] = n
         state.open_segment[thread] = None if n >= self.segment_len[key] else seg_id
-        kind = sap.kind
-        if kind == ev.READ:
-            if self.value_guided:
-                state.env[sap.value.name] = state.memory[sap.addr]
-        elif kind == ev.WRITE:
-            if self.value_guided:
-                try:
-                    state.memory[sap.addr] = sym_eval(sap.value, state.env)
-                except (KeyError, MiniRuntimeError):
-                    return False
-        elif kind == ev.LOCK:
-            state.locks[sap.addr] = thread
-        elif kind == ev.UNLOCK:
-            state.locks[sap.addr] = None
-            nxt = self.system.saps.get((thread, sap.index + 1))
-            if nxt is not None and nxt.kind == ev.WAIT:
-                state.parked[thread] = nxt
-        elif kind == ev.WAIT:
-            state.signaled.discard(thread)
-        elif kind == ev.BROADCAST:
-            for t, w in list(state.parked.items()):
-                if w is not None and w.addr == sap.addr:
-                    state.parked[t] = None
-                    state.signaled.add(t)
-        elif kind == ev.SIGNAL:
-            if wake is not None:
-                state.parked[wake] = None
-                state.signaled.add(wake)
-        if self.value_guided:
-            for cond in self.cond_index.get(thread, {}).get(sap.index, ()):
-                try:
-                    if not sym_eval(cond.expr, state.env):
-                        return False
-                except (KeyError, MiniRuntimeError):
-                    return False
-        return True
-
-    def _signal_wake_choices(self, state, sap):
-        """Parked waiters a plain signal could wake (None = signal lost)."""
-        waiters = sorted(
-            t
-            for t, w in state.parked.items()
-            if w is not None and w.addr == sap.addr
-        )
-        return waiters if waiters else [None]
+        return state.model.apply(uid, wake) is None
 
     # ------------------------------------------------------------------ #
 
-    def generate(
+    def generate(self, *args, **kwargs):
+        """Yield the complete schedules of :meth:`walk` (same arguments)."""
+        for state in self.walk(*args, **kwargs):
+            yield state.schedule
+
+    def walk(
         self,
         max_preemptions=0,
         exact_preemptions=False,
@@ -269,8 +188,10 @@ class ScheduleGenerator:
         order_seed=None,
         stats=None,
     ):
-        """Yield complete schedules with at most ``max_preemptions``
-        interleaved segments (exactly that many if ``exact_preemptions``).
+        """Yield the branch state of each complete schedule with at most
+        ``max_preemptions`` interleaved segments (exactly that many if
+        ``exact_preemptions``): ``state.schedule`` and the final
+        ``state.model``.
 
         ``first_preemption`` — an optional triple (t1, k, t2) pinning the
         first segment-interleaving event (t2's k-th pop charges t1's open
@@ -318,11 +239,7 @@ class ScheduleGenerator:
                     return
                 relock = None
                 if state.schedule:
-                    relock = forced_relock(
-                        self.system.saps,
-                        self.system.saps[state.schedule[-1]],
-                        state.locks,
-                    )
+                    relock = state.model.forced_relock(state.schedule[-1])
                 if len(state.schedule) == self.sap_count:
                     if relock is None and (
                         not exact_preemptions
@@ -335,25 +252,18 @@ class ScheduleGenerator:
                         if key not in seen:
                             seen.add(key)
                             produced += 1
-                            yield state.schedule
+                            yield state
                     break
-                candidates = []
                 cur = state.current
                 if relock is not None:
+                    candidates = []
                     if relock in state.ready[cur]:
                         candidates.append((relock, None))
                 else:
-                    for uid, wake in self._pop_choices(
-                        state, self._enabled_saps(state, cur)
-                    ):
-                        candidates.append((uid, wake))
+                    candidates = self._pop_choices(state, cur)
                     for thread in self.threads:
-                        if thread == cur:
-                            continue
-                        for uid, wake in self._pop_choices(
-                            state, self._enabled_saps(state, thread)
-                        ):
-                            candidates.append((uid, wake))
+                        if thread != cur:
+                            candidates.extend(self._pop_choices(state, thread))
                 if not candidates:
                     break  # structural dead end
                 if rng is not None and len(candidates) > 1:
@@ -369,13 +279,21 @@ class ScheduleGenerator:
                 alive = self._pop(state, uid, max_preemptions, wake=wake)
         finish(False)
 
-    def _pop_choices(self, state, enabled):
-        """Expand signal wake-choices into the pop alternatives."""
+    def _pop_choices(self, state, thread):
+        """The pop alternatives of ``thread``: its ready SAPs the model
+        does not block, in uid order, with a signal's wake choices."""
+        saps = self.system.saps
+        blocked = state.model.blocked
         choices = []
-        for uid in enabled:
-            sap = self.system.saps[uid]
+        for uid in sorted(state.ready[thread]):
+            if blocked(uid) is not None:
+                continue
+            sap = saps[uid]
             if sap.kind == ev.SIGNAL:
-                for wake in self._signal_wake_choices(state, sap):
+                # Any waiter on the condvar may be the one woken, or
+                # none (the signal is lost).
+                waiters = sorted(w.thread for w in state.model.waiters(sap.addr))
+                for wake in waiters or [None]:
                     choices.append((uid, wake))
             else:
                 choices.append((uid, None))

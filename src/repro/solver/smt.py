@@ -32,7 +32,7 @@ Value theory (lazy)
 The satisfying total order is extracted by a greedy topological sort that
 prefers staying on the current thread — linearizations of one solution
 differ only in switch count, so greediness directly reduces the reported
-``#cs`` — and the result is re-checked by the independent
+``#cs`` — and the result is re-checked by the
 :class:`~repro.solver.validate.ScheduleValidator` before being returned.
 
 Incremental bound loop
@@ -61,7 +61,7 @@ from repro.constraints.context_switch import count_context_switches
 from repro.constraints.model import INIT, OLt, RFChoice, SWChoice
 from repro.solver.cdcl import CDCLSolver, SAT, UNSAT
 from repro.solver.order import OrderTheory
-from repro.solver.validate import ScheduleValidator, forced_relock
+from repro.solver.validate import ScheduleValidator, StepModel
 
 
 @dataclass
@@ -495,22 +495,24 @@ class ClapSmtSolver:
         self, adjacency, rf, start_thread=None, wake_map=None, node_budget=1200
     ):
         """Topological sort that also honors the operational rules the
-        combo's semantic edges alone cannot express: lock exclusion and
-        condvar park/wake (two critical sections on one mutex have no
-        fixed relative order, yet must not interleave; a woken wait
-        re-takes a free mutex in the same step), and the combo's
-        reads-from map (the edge puts the source before the read, but
-        nothing in the graph stops *another* write from landing in
+        combo's semantic edges alone cannot express: the SAP step model's
+        lock exclusion and condvar park/wake (two critical sections on one
+        mutex have no fixed relative order, yet must not interleave; a
+        woken wait re-takes a free mutex in the same step), and the
+        combo's reads-from map (the edge puts the source before the read,
+        but nothing in the graph stops *another* write from landing in
         between and changing the value).
 
         Greedy thread-continuation with backtracking: taking a lock or
-        ordering a write too early can wedge the walk, so dead ends undo
-        and try the next thread.  ``wake_map`` maps a signal SAP uid to
+        ordering a write too early can wedge the walk, so dead ends back
+        up and try the next thread.  ``wake_map`` maps a signal SAP uid to
         the wait SAP uid the combo pairs it with, steering each signal
         toward its intended waiter.  Deterministic; returns ``None`` when
         no completion is found within ``node_budget`` emitted-SAP
         attempts."""
         saps = self.system.saps
+        blocking = StepModel.BLOCKING
+        wake_map = wake_map or {}
         indeg = {uid: 0 for uid in adjacency}
         succ = {uid: [] for uid in adjacency}
         for uid, out in adjacency.items():
@@ -518,142 +520,93 @@ class ClapSmtSolver:
                 succ[uid].append(nxt)
                 indeg[nxt] += 1
         ready = {uid for uid, d in indeg.items() if d == 0}
-        locks = {}
-        parked = {}
-        signaled = set()
         schedule = []
         budget = [node_budget]
-        emitted = set()
-        last_writer = {}
-        # addr -> set of pending read uids (window opens once the read's
-        # source is emitted; until the read runs, no other write to the
-        # addr may land).
-        pending_reads = {}
+        # addr -> the reads whose source the combo fixes.  Once a read's
+        # source has run, no other write to the addr may land until the
+        # read runs.
+        fixed_reads = {}
         for read_uid in rf:
             sap = saps.get(read_uid)
             if sap is not None:
-                pending_reads.setdefault(sap.addr, set()).add(read_uid)
+                fixed_reads.setdefault(sap.addr, []).append(read_uid)
 
-        def runnable(uid):
+        def runnable(model, uid):
             sap = saps[uid]
-            if sap.kind == ev.LOCK:
-                return locks.get(sap.addr) is None
-            if sap.kind == ev.WAIT:
-                return sap.thread in signaled
+            if sap.kind in blocking and model.blocked(uid) is not None:
+                return False
             if sap.kind == ev.READ and uid in rf:
                 source = rf[uid]
-                if source == INIT:
-                    return last_writer.get(sap.addr) is None
-                return last_writer.get(sap.addr) == source
+                return model.last_writer.get(sap.addr) == (
+                    None if source == INIT else source
+                )
             if sap.kind == ev.WRITE:
-                for read_uid in pending_reads.get(sap.addr, ()):
+                for read_uid in fixed_reads.get(sap.addr, ()):
+                    if read_uid in model.done:
+                        continue
                     source = rf[read_uid]
-                    if source == INIT or (source != uid and source in emitted):
+                    if source == INIT or (source != uid and source in model.done):
                         return False
             return True
 
-        def emit(uid):
-            sap = saps[uid]
-            thread = sap.thread
-            ready.discard(uid)
-            schedule.append(uid)
-            emitted.add(uid)
-            newly = []
-            for nxt in succ[uid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.add(nxt)
-                    newly.append(nxt)
-            rec = [uid, newly, None, None, False, [], None]
-            if sap.kind == ev.READ and uid in rf:
-                pending_reads[sap.addr].discard(uid)
-            elif sap.kind == ev.WRITE:
-                rec[6] = (sap.addr, last_writer.get(sap.addr))
-                last_writer[sap.addr] = uid
-            if sap.kind == ev.LOCK:
-                rec[2] = (sap.addr, locks.get(sap.addr))
-                locks[sap.addr] = thread
-            elif sap.kind == ev.UNLOCK:
-                rec[2] = (sap.addr, locks.get(sap.addr))
-                locks[sap.addr] = None
-                nxt = saps.get((thread, sap.index + 1))
-                if nxt is not None and nxt.kind == ev.WAIT:
-                    rec[3] = (thread, parked.get(thread))
-                    parked[thread] = nxt
-            elif sap.kind == ev.WAIT:
-                rec[4] = thread in signaled
-                signaled.discard(thread)
-            elif sap.kind in (ev.SIGNAL, ev.BROADCAST):
-                waiters = [
-                    w
-                    for t, w in parked.items()
-                    if w is not None and w.addr == sap.addr
-                ]
-                if sap.kind == ev.BROADCAST:
-                    chosen = waiters
-                else:
-                    chosen = []
-                    intended = (wake_map or {}).get(uid)
-                    for w in waiters:
-                        if w.uid == intended:
-                            chosen = [w]
-                            break
-                    if not chosen and waiters:
-                        chosen = [min(waiters, key=lambda w: w.uid)]
-                for w in chosen:
-                    rec[5].append((w.thread, w, w.thread in signaled))
-                    parked[w.thread] = None
-                    signaled.add(w.thread)
-            return rec
+        def wake(model, sap):
+            """The thread signal ``sap`` wakes: its intended waiter if that
+            one waits on the condvar, else the waiter with the smallest
+            uid."""
+            waiters = model.waiters(sap.addr)
+            if not waiters:
+                return None
+            intended = wake_map.get(sap.uid)
+            for w in waiters:
+                if w.uid == intended:
+                    return w.thread
+            return min(waiters, key=lambda w: w.uid).thread
 
-        def undo(rec):
-            uid, newly, lock_rec, park_rec, was_signaled, woken, write_rec = rec
-            schedule.pop()
-            emitted.discard(uid)
-            for nxt in newly:
-                ready.discard(nxt)
-            for nxt in succ[uid]:
-                indeg[nxt] += 1
-            ready.add(uid)
-            sap = saps[uid]
-            if sap.kind == ev.READ and uid in rf:
-                pending_reads[sap.addr].add(uid)
-            if write_rec is not None:
-                last_writer[write_rec[0]] = write_rec[1]
-            if lock_rec is not None:
-                locks[lock_rec[0]] = lock_rec[1]
-            if park_rec is not None:
-                parked[park_rec[0]] = park_rec[1]
-            if sap.kind == ev.WAIT and was_signaled:
-                signaled.add(sap.thread)
-            for thread, waiter, already in woken:
-                parked[thread] = waiter
-                if not already:
-                    signaled.discard(thread)
-
-        def dfs(current_thread):
+        def dfs(model, current_thread):
             relock = None
             if schedule:
-                relock = forced_relock(saps, saps[schedule[-1]], locks)
+                relock = model.forced_relock(schedule[-1])
             if not ready:
                 return relock is None and len(schedule) == len(adjacency)
             eligible = sorted(
-                (uid for uid in ready if runnable(uid) and relock in (None, uid)),
+                (
+                    uid
+                    for uid in ready
+                    if relock in (None, uid) and runnable(model, uid)
+                ),
                 key=lambda u: (u[0] != current_thread, u[0], u[1]),
             )
-            if not eligible:
-                return False
+            last = eligible[-1] if eligible else None
             for uid in eligible:
                 if budget[0] <= 0:
                     return False
                 budget[0] -= 1
-                rec = emit(uid)
-                if dfs(uid[0]):
+                # The last alternative may step this node's model itself.
+                child = model if uid == last else model.clone()
+                # Value failures are the validator's to report.
+                sap = saps[uid]
+                child.apply(
+                    uid, wake(child, sap) if sap.kind == ev.SIGNAL else None
+                )
+                ready.discard(uid)
+                schedule.append(uid)
+                newly = []
+                for nxt in succ[uid]:
+                    indeg[nxt] -= 1
+                    if indeg[nxt] == 0:
+                        ready.add(nxt)
+                        newly.append(nxt)
+                if dfs(child, uid[0]):
                     return True
-                undo(rec)
+                schedule.pop()
+                for nxt in newly:
+                    ready.discard(nxt)
+                for nxt in succ[uid]:
+                    indeg[nxt] += 1
+                ready.add(uid)
             return False
 
-        if dfs(start_thread):
+        if dfs(self.validator.model.clone(), start_thread):
             return schedule
         return None
 

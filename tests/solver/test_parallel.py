@@ -5,9 +5,8 @@ import pytest
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.constraints.context_switch import count_context_switches
 from repro.runtime.replay import replay_schedule
-from repro.solver.parallel import _bug_holds, solve_generate_validate
-from repro.solver.schedule_gen import ScheduleGenerator
-from repro.solver.validate import validate_schedule
+from repro.solver.parallel import solve_generate_validate
+from repro.solver.validate import ScheduleValidator, validate_schedule
 
 from tests.conftest import RACE_SRC
 
@@ -47,9 +46,12 @@ def test_solution_is_valid_and_replayable(race_setup):
 def test_all_good_schedules_manifest_bug(race_setup):
     pipe, recorded, system = race_setup
     result = solve_generate_validate(system)
-    gen = ScheduleGenerator(system)
+    validator = ScheduleValidator(system)
     for schedule in result.good_schedules:
-        assert _bug_holds(system, schedule, gen)
+        # The validator accepts only schedules whose final state satisfies
+        # the bug predicate.
+        outcome = validator.validate(schedule)
+        assert outcome.ok, outcome.reason
         assert (
             count_context_switches(schedule, system.summaries)
             >= result.context_switches

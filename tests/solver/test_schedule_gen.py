@@ -146,7 +146,7 @@ def test_generated_waits_retake_a_free_mutex_at_once():
     pipe, system = condvar_system()
     validator = ScheduleValidator(system)
     replayed = 0
-    for schedule in ScheduleGenerator(system, value_guided=False).generate(
+    for schedule in ScheduleGenerator(system).generate(
         max_preemptions=3, max_schedules=300
     ):
         outcome = validator.validate(schedule)
@@ -208,14 +208,12 @@ def test_single_thread_program_has_no_exact_preemption_schedules(
 def test_zero_preemption_round_with_unsatisfiable_bug(race_system):
     """c = 0 on the race program: schedules exist, none manifests the bug
     (the race needs a preemption), and the bounded space exhausts."""
-    from repro.solver.parallel import _bug_holds
-
     gen = ScheduleGenerator(race_system)
     stats = {}
     n = 0
-    for schedule in gen.generate(max_preemptions=0, stats=stats):
+    for state in gen.walk(max_preemptions=0, stats=stats):
         n += 1
-        assert not _bug_holds(race_system, schedule, gen)
+        assert state.model.bug_reason() == "bug predicate not satisfied"
     assert n > 0
     assert stats["capped"] is False
 
