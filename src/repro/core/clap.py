@@ -72,10 +72,6 @@ class ClapConfig:
     # the sequential incremental loop (bit-identical to 'smt-inc').
     portfolio_workers: int = 3
     smt_max_seconds: float | None = None
-    genval_max_seconds: float | None = None
-    genval_max_schedules_per_round: int = 200_000
-    genval_max_steps_per_round: int = 4_000_000
-    genval_probes_per_round: int = 48
     # Feed the static race analysis (analysis.static_race) into the Frw
     # encoder: candidates proven impossible for race-free site pairs are
     # dropped.  On by default (the pruning is equisatisfiable — see
@@ -85,10 +81,9 @@ class ClapConfig:
     # always on.)
     static_prune: bool = True
     # Parallel per-thread symbolic execution: >1 fans thread re-execution
-    # over a worker pool; traces under symexec_min_blocks decoded basic
-    # blocks stay serial regardless (fork overhead dominates below that).
+    # over a worker pool; traces under symexec.PARALLEL_MIN_BLOCKS decoded
+    # basic blocks stay serial regardless (fork overhead dominates below).
     symexec_workers: int = 0
-    symexec_min_blocks: int = 512
     # Flight-recorder mode: bound each thread's retained log to
     # ``ring_bytes`` of encoded trace (None = unbounded classic recording).
     # Sealed ``ring_segment_bytes``-sized segments are evicted oldest-first;
@@ -344,7 +339,6 @@ class ClapPipeline:
                 self.shared,
                 bug=recorded.bug,
                 workers=self.config.symexec_workers,
-                min_blocks=self.config.symexec_min_blocks,
             )
         else:
             summaries = execute_recorded_paths(
@@ -496,14 +490,14 @@ class ClapPipeline:
                 max_seconds=cfg.smt_max_seconds,
             )
         if cfg.solver == "genval":
+            # Per-probe budgets: a 200k-schedule, 4M-step round split
+            # over the 48 probes of each round.
             return solve_generate_validate(
                 system,
                 max_cs=cfg.max_cs,
                 workers=cfg.workers,
-                max_schedules_per_round=cfg.genval_max_schedules_per_round,
-                max_steps_per_round=cfg.genval_max_steps_per_round,
-                probes_per_round=cfg.genval_probes_per_round,
-                max_seconds=cfg.genval_max_seconds,
+                max_schedules_per_probe=4_166,
+                max_steps_per_probe=83_333,
             )
         raise ClapError("unknown solver %r" % cfg.solver)
 

@@ -7,9 +7,11 @@ we can always produce a schedule with the fewest thread context switches
 among all the bug-reproducing schedules."
 
 The generate-and-validate engine already implements the incrementing loop;
-this module packages it as the post-pass the pipeline uses to tighten a
-schedule computed by the monolithic CDCL(T) solver, whose greedy
-linearization is only heuristically frugal with switches.
+this module packages it as a post-pass that tries to tighten a schedule
+computed by the monolithic CDCL(T) solver, whose greedy linearization is
+only heuristically frugal with switches.  ``ClapPipeline`` does not call
+it; the Figure 4 benchmark (``benchmarks/test_fig4_solutions.py``) and
+the tests do.
 """
 
 from dataclasses import dataclass

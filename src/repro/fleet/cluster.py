@@ -23,14 +23,14 @@ hint) but never used to merge.
 
 :class:`ClusterRegistry` persists one JSON record per cluster —
 representative, members, solve status, the solved schedule for fan-out —
-written with the container's crash-safety discipline (tmp + fsync +
-atomic rename).
+each replaced atomically through :mod:`repro.store.durable`.
 """
 
 import hashlib
 import json
 import os
 
+from repro.store import durable
 from repro.tracing.logfmt import encode_tokens
 
 CLUSTER_FORMAT = 1
@@ -135,13 +135,8 @@ class ClusterRegistry:
     def _write(self, record):
         path = self._path(record["signature"])
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        durable.write_json(path, record, indent=2)
+        return record
 
     def get(self, signature):
         """The cluster record for ``signature``, or None."""
@@ -185,8 +180,7 @@ class ClusterRegistry:
             "solve": {},
             "path_counts": path_counts or {},
         }
-        self._write(record)
-        return record
+        return self._write(record)
 
     def add_member(self, signature, member):
         """Attach one more equivalent report; returns the record."""
@@ -194,8 +188,7 @@ class ClusterRegistry:
         if record is None:
             raise ClusterError("no cluster %s" % signature[:12])
         record["members"].append(dict(member, validated=False))
-        self._write(record)
-        return record
+        return self._write(record)
 
     def mark_solved(self, signature, schedule, context_switches, solve=None):
         record = self.get(signature)
@@ -205,8 +198,7 @@ class ClusterRegistry:
         record["schedule"] = [list(uid) for uid in schedule]
         record["context_switches"] = context_switches
         record["solve"] = dict(solve or {})
-        self._write(record)
-        return record
+        return self._write(record)
 
     def mark_failed(self, signature, reason):
         record = self.get(signature)
@@ -214,8 +206,7 @@ class ClusterRegistry:
             raise ClusterError("no cluster %s" % signature[:12])
         record["status"] = STATUS_FAILED
         record["solve"] = {"reason": reason}
-        self._write(record)
-        return record
+        return self._write(record)
 
     def mark_member_validated(self, signature, entry_id, ok):
         record = self.get(signature)
@@ -224,8 +215,7 @@ class ClusterRegistry:
         for member in record["members"]:
             if member["entry_id"] == entry_id:
                 member["validated"] = bool(ok)
-        self._write(record)
-        return record
+        return self._write(record)
 
     # -- similarity diagnostics ----------------------------------------
 

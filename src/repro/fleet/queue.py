@@ -3,15 +3,15 @@
 The ingestion gateway must never lose an accepted crash report: a report
 whose solve is pending has to survive a gateway restart (or crash) and a
 dispatcher worker dying mid-solve.  This queue gets that durability from
-the filesystem alone:
+the filesystem alone, with every write and rename going through
+:mod:`repro.store.durable`:
 
-* one JSON file per job, written tmp → fsync → atomic rename (the
-  ``.clap`` container's discipline), so a job file is either absent or
-  complete — never torn;
+* one JSON file per job, replaced atomically, so a job file is either
+  absent or complete — never torn;
 * job state *is* directory membership: ``pending/``, ``active/``,
-  ``done/``, ``failed/``.  State transitions are single ``os.rename``
-  calls (claim) or write-new-then-unlink pairs (complete/fail) ordered
-  so a crash at any point leaves the job recoverable;
+  ``done/``, ``failed/``.  State transitions are single durable renames
+  (claim) or write-new-then-unlink pairs (complete/fail) ordered so a
+  crash at any point leaves the job recoverable;
 * :meth:`recover` (run on open) moves orphaned ``active/`` jobs back to
   ``pending/`` — a dispatcher that died mid-solve re-runs the job, it
   does not lose it.  A job present in both ``active/`` and a terminal
@@ -26,6 +26,8 @@ dispatcher claims on their behalf.
 
 import json
 import os
+
+from repro.store import durable
 
 STATE_PENDING = "pending"
 STATE_ACTIVE = "active"
@@ -59,14 +61,7 @@ class DurableJobQueue:
         return os.path.join(self._dir(state), job_id + ".json")
 
     def _write_job(self, state, record):
-        path = self._job_path(state, record["id"])
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        durable.write_json(self._job_path(state, record["id"]), record)
 
     def _read_job(self, state, job_id):
         try:
@@ -88,10 +83,7 @@ class DurableJobQueue:
 
     def _iter_all(self):
         for state in _STATES:
-            for job_id in self._job_ids(state):
-                record = self._read_job(state, job_id)
-                if record is not None:
-                    yield record
+            yield from self.jobs(state)
 
     # -- producer side ---------------------------------------------------
 
@@ -123,7 +115,7 @@ class DurableJobQueue:
                 continue
             if accept is not None and not accept(record["payload"]):
                 continue
-            os.rename(
+            durable.move(
                 self._job_path(STATE_PENDING, job_id),
                 self._job_path(STATE_ACTIVE, job_id),
             )
@@ -169,7 +161,7 @@ class DurableJobQueue:
             if terminal:
                 os.remove(active_path)
                 continue
-            os.rename(active_path, self._job_path(STATE_PENDING, job_id))
+            durable.move(active_path, self._job_path(STATE_PENDING, job_id))
             requeued += 1
         return requeued
 

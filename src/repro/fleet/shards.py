@@ -42,8 +42,9 @@ from repro.fleet.cluster import (
 )
 from repro.fleet.queue import DurableJobQueue
 from repro.minilang import compile_source
+from repro.store import durable
 from repro.store.cache import AnalysisCache, SharedAnalysisCache
-from repro.store.corpus import Corpus, CorpusError, _sha256
+from repro.store.corpus import Corpus, _sha256, _StoredResult
 from repro.tracing.logfmt import encode_tokens
 
 FLEET_FORMAT = 1
@@ -67,27 +68,6 @@ class _ReportRecorder:
 
     def log_size_bytes(self):
         return sum(len(encode_tokens(tokens)) for tokens in self.logs.values())
-
-
-class _ReportResult:
-    """Duck-types ExecutionResult from a crash report's stats dict."""
-
-    def __init__(self, bug, stats):
-        self.bug = bug
-        self.thread_names = {
-            i: name for i, name in enumerate(stats.get("thread_names", []))
-        }
-        self.saps_by_thread = {}
-        self._stats = stats
-
-    def total_instructions(self):
-        return self._stats.get("n_instructions", 0)
-
-    def total_branches(self):
-        return self._stats.get("n_branches", 0)
-
-    def total_saps(self):
-        return self._stats.get("n_saps", 0)
 
 
 class ShardedCorpus:
@@ -138,15 +118,11 @@ class ShardedCorpus:
         return cls.create(root, shards=shards, cache_max_bytes=cache_max_bytes)
 
     def _write_marker(self):
-        marker = os.path.join(self.root, "fleet.json")
-        payload = dict(self.config, format=FLEET_FORMAT, shards=self.n_shards)
-        tmp = "%s.tmp.%d" % (marker, os.getpid())
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, marker)
+        durable.write_json(
+            os.path.join(self.root, "fleet.json"),
+            dict(self.config, format=FLEET_FORMAT, shards=self.n_shards),
+            indent=2,
+        )
 
     # -- the shared fleet services --------------------------------------
 
@@ -193,14 +169,7 @@ class ShardedCorpus:
 
     def _ensure_shard_manifest(self, index):
         if not os.path.isfile(self._shard_manifest_path(index)):
-            self._write_shard_manifest(
-                index,
-                {
-                    "format": SHARD_MANIFEST_FORMAT,
-                    "shard": index,
-                    "entries": {},
-                },
-            )
+            self._write_shard_manifest(index, {})
 
     def shard_manifest(self, index):
         try:
@@ -214,15 +183,14 @@ class ShardedCorpus:
             return self.sync_shard(index)
         return manifest
 
-    def _write_shard_manifest(self, index, manifest):
-        path = self._shard_manifest_path(index)
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+    def _write_shard_manifest(self, index, entries):
+        manifest = {
+            "format": SHARD_MANIFEST_FORMAT,
+            "shard": index,
+            "entries": entries,
+        }
+        durable.write_json(self._shard_manifest_path(index), manifest, indent=2)
+        return manifest
 
     def sync_shard(self, index):
         """Rebuild shard ``index``'s manifest from its entries' manifests.
@@ -232,36 +200,24 @@ class ShardedCorpus:
         behind the fleet's back (plain ``repro corpus add``) appear with
         a fingerprint computed from their stored trace.
         """
-        corpus = self.shard(index)
-        entries = {}
-        for entry in corpus.entries():
-            info = dict(entry.manifest.get("fleet") or {})
-            if not info.get("fingerprint"):
-                stored = entry.load_execution()
-                info["fingerprint"] = AnalysisCache.trace_fingerprint(
-                    stored.recorder
-                )
-            entries[entry.entry_id] = {
-                "fingerprint": info["fingerprint"],
-                "cluster": info.get("cluster", ""),
-                "program": entry.program_name(),
-            }
-        manifest = {
-            "format": SHARD_MANIFEST_FORMAT,
-            "shard": index,
-            "entries": entries,
+        entries = {
+            entry.entry_id: self._entry_row(entry)
+            for entry in self.shard(index).entries()
         }
-        self._write_shard_manifest(index, manifest)
-        return manifest
+        return self._write_shard_manifest(index, entries)
 
-    def _register_entry(self, index, entry_id, fingerprint, cluster, program):
-        manifest = self.shard_manifest(index)
-        manifest["entries"][entry_id] = {
+    @staticmethod
+    def _entry_row(entry):
+        """``entry``'s ``shard.json`` row, read off its manifest."""
+        info = entry.manifest.get("fleet") or {}
+        fingerprint = info.get("fingerprint") or AnalysisCache.trace_fingerprint(
+            entry.load_execution().recorder
+        )
+        return {
             "fingerprint": fingerprint,
-            "cluster": cluster,
-            "program": program,
+            "cluster": info.get("cluster", ""),
+            "program": entry.program_name(),
         }
-        self._write_shard_manifest(index, manifest)
 
     # -- adding traces ---------------------------------------------------
 
@@ -326,35 +282,21 @@ class ShardedCorpus:
         signature = cluster_signature(material)
 
         corpus = self.shard(index)
-        base = "%s-s%d-%s" % (program.name, recorded.seed, _sha256(source)[:8])
-        entry_id, suffix = base, 1
-        while os.path.exists(os.path.join(corpus.entries_dir, entry_id)):
-            suffix += 1
-            entry_id = "%s-%d" % (base, suffix)
         entry = corpus.add(
             source,
             name=name,
             config=config,
-            entry_id=entry_id,
+            entry_id=corpus.free_entry_id(
+                "%s-s%d-%s" % (program.name, recorded.seed, _sha256(source)[:8])
+            ),
             flush_every=flush_every,
             recorded=recorded,
             extra_manifest=self._fleet_stamp(index, signature, fingerprint),
         )
-        self._register_entry(
-            index, entry.entry_id, fingerprint, signature, program.name
+        return self._registered(
+            index, entry, fingerprint, signature, material,
+            recorded.recorder.logs,
         )
-        status, job_id = self._register_cluster(
-            signature, material, path_multiset(recorded.recorder.logs),
-            index, entry.entry_id,
-        )
-        return {
-            "shard": index,
-            "entry_id": entry.entry_id,
-            "cluster": signature,
-            "fingerprint": fingerprint,
-            "status": status,
-            "job_id": job_id,
-        }
 
     def add_report(self, source, name, config, logs, bug, stats=None,
                    seed=-1, via="gateway"):
@@ -367,7 +309,7 @@ class ShardedCorpus:
         recorder = _ReportRecorder(
             logs, (stats or {}).get("instrumentation_ops", 0)
         )
-        result = _ReportResult(bug, stats or {})
+        result = _StoredResult(bug, stats or {})
         fingerprint = AnalysisCache.trace_fingerprint(recorder)
         index = self.shard_of(fingerprint)
         material = cluster_material(
@@ -385,10 +327,18 @@ class ShardedCorpus:
             provenance={"mode": via},
             extra_manifest=self._fleet_stamp(index, signature, fingerprint),
         )
-        self._register_entry(
-            index, entry.entry_id, fingerprint, signature,
-            entry.program_name(),
+        return self._registered(
+            index, entry, fingerprint, signature, material, logs
         )
+
+    def _registered(self, index, entry, fingerprint, signature, material,
+                    logs):
+        """List a stored entry in its shard manifest and its cluster;
+        returns the outcome dict :meth:`add` and :meth:`add_report`
+        share."""
+        rows = self.shard_manifest(index)["entries"]
+        rows[entry.entry_id] = self._entry_row(entry)
+        self._write_shard_manifest(index, rows)
         status, job_id = self._register_cluster(
             signature, material, path_multiset(logs), index, entry.entry_id
         )
@@ -403,13 +353,26 @@ class ShardedCorpus:
 
     # -- introspection ---------------------------------------------------
 
+    def _shards_on_disk(self):
+        """``(index, Corpus)`` for shards ``0..n-1`` and every other
+        ``shard-*`` directory: an interrupted rebalance can leave entries
+        in a shard past the current count."""
+        indices = set(range(self.n_shards))
+        for name in os.listdir(self.shards_dir):
+            if name.startswith("shard-"):
+                indices.add(int(name[len("shard-"):]))
+        return [
+            (i, self.shard(i) if i < self.n_shards else Corpus(self.shard_root(i)))
+            for i in sorted(indices)
+        ]
+
     def entries(self):
         """Every (shard_index, CorpusEntry) in the fleet, shard order."""
-        out = []
-        for index in range(self.n_shards):
-            for entry in self.shard(index).entries():
-                out.append((index, entry))
-        return out
+        return [
+            (index, entry)
+            for index, corpus in self._shards_on_disk()
+            for entry in corpus.entries()
+        ]
 
     def stats(self):
         """Per-shard and total counters for ``repro fleet stats``."""
@@ -452,21 +415,23 @@ class ShardedCorpus:
         """Re-route every entry after a shard-count change (or repair).
 
         Each entry's home is recomputed from its stored trace fingerprint
-        under the new shard count; misplaced entries move (one atomic
+        under the new shard count; misplaced entries move (one durable
         directory rename each), shard manifests are rebuilt, and cluster
-        registry records are updated to the new shard indices.  Returns
+        registry records are updated to the new shard indices.  Every
+        step is idempotent, so rerunning an interrupted rebalance
+        completes it.  Returns
         ``{"shards": new_count, "moved": n, "entries": total}``.
         """
         new_count = self.n_shards if shards is None else int(shards)
         if new_count < 1:
             raise FleetError("a fleet needs at least one shard")
 
-        # Collect every entry's fingerprint (authoritative: its manifest).
-        placements = []  # (old_index, entry_id, fingerprint)
-        for index in range(self.n_shards):
-            manifest = self.sync_shard(index)
-            for entry_id, row in manifest["entries"].items():
-                placements.append((index, entry_id, row["fingerprint"]))
+        # Collect every entry on disk (a rerun after a crash finds some
+        # in shards past the count the marker already names).
+        placements = [
+            (index, entry.entry_id, self._entry_row(entry)["fingerprint"])
+            for index, entry in self.entries()
+        ]
 
         self.n_shards = new_count
         self._shards = {}
@@ -479,43 +444,36 @@ class ShardedCorpus:
         for old_index, entry_id, fingerprint in placements:
             target = self.shard_of(fingerprint)
             new_shard_of[entry_id] = target
-            if target == old_index:
-                continue
-            src = os.path.join(
-                self.shard_root(old_index), "entries", entry_id
-            )
-            dst = os.path.join(self.shard_root(target), "entries", entry_id)
-            if os.path.exists(dst):
-                raise FleetError(
-                    "rebalance collision: %s already exists in shard %d"
-                    % (entry_id, target)
-                )
-            os.rename(src, dst)
-            moved += 1
-            # Re-stamp the entry's manifest with its new home.
-            entry = self.shard(target).entry(entry_id)
-            manifest = dict(entry.manifest)
-            fleet_info = dict(manifest.get("fleet") or {})
-            fleet_info["shard"] = target
-            fleet_info.setdefault("fingerprint", fingerprint)
-            manifest["fleet"] = fleet_info
-            entry._write_manifest(manifest)
-
-        # Drop manifests of shards that no longer exist, rebuild the rest.
-        for index in range(new_count):
-            self.sync_shard(index)
-        old_dirs = sorted(os.listdir(self.shards_dir))
-        for dirname in old_dirs:
-            if not dirname.startswith("shard-"):
-                continue
-            if int(dirname.split("-", 1)[1]) >= new_count:
-                leftover = os.path.join(
-                    self.shards_dir, dirname, "entries"
-                )
-                if os.path.isdir(leftover) and os.listdir(leftover):
+            if target != old_index:
+                dst = os.path.join(self.shard_root(target), "entries", entry_id)
+                if os.path.exists(dst):
                     raise FleetError(
-                        "rebalance bug: %s still holds entries" % dirname
+                        "rebalance collision: %s already exists in shard %d"
+                        % (entry_id, target)
                     )
+                durable.move(
+                    os.path.join(self.shard_root(old_index), "entries", entry_id),
+                    dst,
+                )
+                moved += 1
+            # Stamp the entry with its home.  Also checked for entries
+            # that stay put: a crash between a move and this write leaves
+            # a moved entry stamped with its old shard.
+            entry = self.shard(target).entry(entry_id)
+            fleet_info = dict(entry.manifest.get("fleet") or {})
+            if fleet_info.get("shard") != target:
+                fleet_info["shard"] = target
+                fleet_info.setdefault("fingerprint", fingerprint)
+                entry._write_manifest(dict(entry.manifest, fleet=fleet_info))
+
+        for index, corpus in self._shards_on_disk():
+            if index < new_count:
+                self.sync_shard(index)
+            elif corpus.entry_ids():
+                raise FleetError(
+                    "rebalance bug: %s still holds entries"
+                    % self.shard_name(index)
+                )
 
         # The cluster registry references (shard, entry_id) pairs; point
         # them at the new homes.

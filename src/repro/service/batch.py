@@ -3,11 +3,10 @@
 Runs the offline half of the CLAP pipeline — load trace from disk,
 symbolically re-execute, solve, replay — for every entry of a corpus
 across a :class:`~repro.service.pool.WorkerPool`.  Each terminal outcome
-is appended to a JSONL sink the moment it lands (one flushed line per
-job, so a killed batch leaves a usable results prefix — the same
-durability story as the trace container), and the run ends with an
-aggregate table: reproduced/failed/timeout/crashed counts, per-job solve
-times and the summed CDCL counters from
+is appended to a JSONL sink the moment it lands (one fsynced line per
+job, so a killed batch leaves a usable results prefix), and the run
+ends with an aggregate table: reproduced/failed/timeout/crashed counts,
+per-job solve times and the summed CDCL counters from
 :func:`repro.constraints.stats.merge_sat_stats`.
 """
 
@@ -25,6 +24,7 @@ from repro.service.jobs import (
     JobSpec,
 )
 from repro.service.pool import WorkerPool
+from repro.store import durable
 from repro.store.cache import AnalysisCache, SharedAnalysisCache
 from repro.store.corpus import Corpus
 
@@ -90,11 +90,10 @@ def run_repro_job(spec_dict, attempt=1):
 class JsonlSink:
     """Crash-safe JSONL result log, flushed and fsynced line by line.
 
-    Follows the ``.clap`` container's tmp → fsync → atomic-rename
-    discipline: lines append to ``<path>.partial`` (each one flushed and
-    fsynced, so a killed batch leaves a durable results prefix there),
-    and ``close()`` fsyncs once more before renaming the partial onto
-    ``path`` — the finished results file appears atomically and is never
+    Lines append to ``<path>.partial``, each one flushed and fsynced, so
+    a killed batch leaves a durable results prefix there.  ``close()``
+    then renames the partial onto ``path`` with :func:`durable.move`:
+    the finished results file appears atomically and is never
     observable torn or half-written.
     """
 
@@ -108,22 +107,21 @@ class JsonlSink:
             # Append semantics across runs: fold the previous finished
             # file into the new partial before adding lines.
             with open(path, "r", encoding="utf-8") as prev:
-                self._fh.write(prev.read())
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+                self._append(prev.read())
 
-    def write(self, record):
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+    def _append(self, text):
+        self._fh.write(text)
         self._fh.flush()
         os.fsync(self._fh.fileno())
+
+    def write(self, record):
+        self._append(json.dumps(record, sort_keys=True) + "\n")
 
     def close(self):
         if self._fh.closed:
             return
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._fh.close()
-        os.replace(self.partial_path, self.path)
+        self._fh.close()  # every line is already fsynced
+        durable.move(self.partial_path, self.path)
 
     @staticmethod
     def read(path):

@@ -20,11 +20,19 @@ instead of waiting for it:
     Not a job-time fault: :func:`corrupt_chunk` flips one byte inside a
     chosen chunk of a ``.clap`` container on disk (the CI job uses it to
     prove ``corpus verify`` catches bit rot).
+
+``crash_at``
+    Not a job-time fault either: :func:`crash_at` makes the n-th write,
+    fsync, replace or rename in :mod:`repro.store.durable` raise
+    :class:`InjectedCrash`, so tests can interrupt any durable store at
+    every write boundary.
 """
 
+import contextlib
 import os
 import time
 
+from repro.store import durable
 from repro.store.container import ClapReader, ContainerError, flip_byte
 
 KILL_EXIT_CODE = 43
@@ -59,3 +67,50 @@ def corrupt_chunk(trace_path, chunk_index=0, mask=0x01):
     offset = chunk.offset + chunk.size - 5
     flip_byte(trace_path, offset, mask=mask)
     return offset
+
+
+class InjectedCrash(BaseException):
+    """Raised by :func:`crash_at`.  A ``BaseException``, so the handlers
+    for ordinary errors, which a killed process would never run, do not
+    run either."""
+
+
+class CrashCounter:
+    """The write boundaries :func:`crash_at` has seen so far."""
+
+    def __init__(self, crash_on):
+        self.crash_on = crash_on
+        self.boundaries = 0
+
+
+@contextlib.contextmanager
+def crash_at(n):
+    """Raise :class:`InjectedCrash` at the n-th (1-based) durable write,
+    fsync, replace or rename inside the ``with`` block.
+
+    The operation at that boundary does not happen.  ``crash_at(0)``
+    never fires; its yielded :class:`CrashCounter` then counts the
+    boundaries an operation has.
+    """
+    counter = CrashCounter(n)
+
+    def boundary(primitive):
+        def hooked(*args):
+            counter.boundaries += 1
+            if counter.boundaries == counter.crash_on:
+                raise InjectedCrash(
+                    "injected crash at durable write boundary %d" % n
+                )
+            return primitive(*args)
+
+        return hooked
+
+    names = ("_write", "_fsync", "_replace", "_rename")
+    saved = {name: getattr(durable, name) for name in names}
+    for name, primitive in saved.items():
+        setattr(durable, name, boundary(primitive))
+    try:
+        yield counter
+    finally:
+        for name, primitive in saved.items():
+            setattr(durable, name, primitive)

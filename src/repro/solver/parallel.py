@@ -148,9 +148,6 @@ def solve_generate_validate(
     workers=0,
     max_seconds=None,
     faults=None,
-    # Backwards-compatible aliases used by ClapConfig.
-    max_schedules_per_round=None,
-    max_steps_per_round=None,
 ):
     """Search for bug-reproducing schedules with increasing preemption bound.
 
@@ -168,14 +165,6 @@ def solve_generate_validate(
     the fewest context switches among the good ones found at the minimal
     bound.
     """
-    if max_schedules_per_round is not None:
-        max_schedules_per_probe = max(
-            max_schedules_per_round // max(probes_per_round, 1), 500
-        )
-    if max_steps_per_round is not None:
-        max_steps_per_probe = max(
-            max_steps_per_round // max(probes_per_round, 1), 20_000
-        )
     start = time.monotonic()
     # Formula construction — the SAP successor graph, segment maps and
     # validator state — happens once, is reused by every probe of every

@@ -29,6 +29,7 @@ import os
 import pickle
 
 from repro.constraints.stats import CacheStats
+from repro.store import durable
 from repro.tracing.logfmt import encode_tokens
 
 # Bump whenever the pickled payload shape, the ThreadSummary /
@@ -138,10 +139,7 @@ class AnalysisCache:
         }
         blob = pickle.dumps(payload)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp.%d" % os.getpid()
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)  # atomic: readers never see a torn entry
+        durable.write_bytes(path, blob)  # readers never see a torn entry
         self.stats.bytes_written += len(blob)
         return key
 
@@ -214,9 +212,8 @@ class SharedAnalysisCache(AnalysisCache):
       entries (counted in ``stats.evictions``);
     * an **LRU index** (``index.json`` at the cache root) mapping key →
       ``[size, seq]`` where ``seq`` is a monotonically increasing access
-      stamp.  The index is written atomically (tmp + fsync + replace, the
-      container's crash-safety discipline) so a killed worker never
-      leaves a torn index behind.
+      stamp.  The index goes through :mod:`repro.store.durable` like
+      every entry, so a killed worker never leaves a torn index behind.
 
     The index is advisory, never authoritative: it is reconciled against
     the entry files on every update, so a missing/unreadable index — or
@@ -257,15 +254,6 @@ class SharedAnalysisCache(AnalysisCache):
                 index[key] = row
         return index
 
-    def _write_index(self, index):
-        path = self._index_path()
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(index, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
     def _reconcile(self, index):
         """Make the index agree with the entry files actually on disk."""
         on_disk = {
@@ -290,7 +278,7 @@ class SharedAnalysisCache(AnalysisCache):
             index[key][1] = seq
         if evict and self.max_bytes is not None:
             self._evict(index, protect=key)
-        self._write_index(index)
+        durable.write_json(self._index_path(), index)
 
     def _evict(self, index, protect=None):
         """Delete LRU entries until the cache fits its byte budget.

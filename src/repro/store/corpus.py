@@ -25,15 +25,19 @@ token; any divergence means the scheduler is not deterministic and the
 entry is refused rather than silently stored wrong.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import shutil
 import time
+from dataclasses import asdict
 
 from repro.analysis.escape import shared_variables
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.minilang import compile_source
 from repro.runtime.events import BugReport
+from repro.store import durable
 from repro.store.container import (
     CHUNK_RECOVERED,
     CHUNK_RING,
@@ -41,7 +45,7 @@ from repro.store.container import (
     ClapWriter,
     compact_container,
 )
-from repro.store.recover import recover_tokens
+from repro.store.recover import RecoveryReport, recover_tokens
 from repro.tracing.ball_larus import ProgramPaths
 from repro.tracing.logfmt import decode_tokens, encode_tokens
 from repro.tracing.recorder import StreamingTraceSink
@@ -183,11 +187,7 @@ class CorpusEntry:
         return self._manifest
 
     def _write_manifest(self, manifest):
-        tmp = self.manifest_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, self.manifest_path)
+        durable.write_json(self.manifest_path, manifest, indent=2)
         self._manifest = manifest
 
     # -- introspection ---------------------------------------------------
@@ -265,14 +265,7 @@ class CorpusEntry:
         if reader.complete or self.manifest.get("recovered"):
             logs = reader.thread_tokens()
         elif allow_recover:
-            logs, recovery = recover_tokens(
-                reader.thread_tokens(), program, paths=paths, bug=bug
-            )
-            if not logs:
-                raise CorpusError(
-                    "entry %s: no thread survived recovery (%s)"
-                    % (self.entry_id, recovery.summary())
-                )
+            logs, recovery = self._recover_tokens(reader, program, paths)
         else:
             raise CorpusError(
                 "entry %s: damaged container: %s"
@@ -291,21 +284,7 @@ class CorpusEntry:
             ring=ring,
         )
 
-    def recover(self):
-        """Rewrite a truncated container as a complete, recovered one.
-
-        Returns the :class:`~repro.store.recover.RecoveryReport`.  The
-        rewritten chunks carry ``CHUNK_RECOVERED`` and the manifest gains
-        ``recovered: true`` so later loads skip re-recovery.
-        """
-        reader = ClapReader.open(self.trace_path)
-        if reader.complete:
-            raise CorpusError(
-                "entry %s: container is complete; nothing to recover"
-                % self.entry_id
-            )
-        program = self.compile_program()
-        paths = ProgramPaths.build(program)
+    def _recover_tokens(self, reader, program, paths):
         logs, report = recover_tokens(
             reader.thread_tokens(), program, paths=paths, bug=self.bug()
         )
@@ -314,34 +293,52 @@ class CorpusEntry:
                 "entry %s: no thread survived recovery (%s)"
                 % (self.entry_id, report.summary())
             )
-        tmp = self.trace_path + ".tmp"
-        writer = ClapWriter(tmp)
-        for thread in sorted(logs):
-            writer.write_chunk(
-                thread, logs[thread], final=True, flags=CHUNK_RECOVERED
+        return logs, report
+
+    def recover(self):
+        """Rewrite a truncated container as a complete, recovered one.
+
+        Returns the :class:`~repro.store.recover.RecoveryReport`.  The
+        rewritten chunks carry ``CHUNK_RECOVERED`` and the manifest gains
+        ``recovered: true`` so later loads skip re-recovery.  The
+        container swap is the commit point; its footer also carries the
+        report, so rerunning a recover interrupted before the manifest
+        update finishes it.
+        """
+        reader = ClapReader.open(self.trace_path)
+        if reader.complete:
+            done = reader.meta.get("recovery")
+            if done is None or self.manifest.get("recovered"):
+                raise CorpusError(
+                    "entry %s: container is complete; nothing to recover"
+                    % self.entry_id
+                )
+            report = RecoveryReport(**done)
+        else:
+            program = self.compile_program()
+            logs, report = self._recover_tokens(
+                reader, program, ProgramPaths.build(program)
             )
-        meta = dict(reader.meta)
-        meta.pop("format", None)
-        meta["recovered"] = report.summary()
-        writer.close(meta=meta)
-        os.replace(tmp, self.trace_path)
-        manifest = dict(self.manifest)
-        manifest["recovered"] = True
-        manifest["recovery"] = {
-            "trimmed_tokens": report.trimmed_tokens,
-            "synthesized_partials": report.synthesized_partials,
-            "dropped_threads": report.dropped_threads,
-            "validated": report.validated,
-            "notes": report.notes,
-        }
-        self._write_manifest(manifest)
+            meta = dict(reader.meta)
+            meta.pop("format", None)
+            meta["recovered"] = report.summary()
+            meta["recovery"] = asdict(report)
+            with durable.staged(self.trace_path) as tmp:
+                writer = ClapWriter(tmp)
+                for thread in sorted(logs):
+                    writer.write_chunk(
+                        thread, logs[thread], final=True, flags=CHUNK_RECOVERED
+                    )
+                writer.close(meta=meta)
+        self._write_manifest(
+            dict(self.manifest, recovered=True, recovery=asdict(report))
+        )
         return report
 
     def compact(self):
         """Merge streaming chunks; returns (old_size, new_size)."""
-        tmp = self.trace_path + ".tmp"
-        old, new = compact_container(self.trace_path, tmp)
-        os.replace(tmp, self.trace_path)
+        with durable.staged(self.trace_path) as tmp:
+            old, new = compact_container(self.trace_path, tmp)
         return old, new
 
 
@@ -357,9 +354,7 @@ class Corpus:
         os.makedirs(os.path.join(root, "entries"), exist_ok=True)
         marker = os.path.join(root, "corpus.json")
         if not os.path.exists(marker):
-            with open(marker, "w", encoding="utf-8") as fh:
-                json.dump({"format": CORPUS_FORMAT}, fh)
-                fh.write("\n")
+            durable.write_json(marker, {"format": CORPUS_FORMAT})
         return cls(root)
 
     @classmethod
@@ -387,7 +382,8 @@ class Corpus:
         return sorted(
             name
             for name in os.listdir(self.entries_dir)
-            if os.path.isfile(
+            if not name.startswith(".")
+            and os.path.isfile(
                 os.path.join(self.entries_dir, name, "manifest.json")
             )
         )
@@ -402,6 +398,39 @@ class Corpus:
         return CorpusEntry(path)
 
     # -- adding ----------------------------------------------------------
+
+    def free_entry_id(self, base):
+        """``base``, else the first free of ``base-2``, ``base-3``, ..."""
+        entry_id, suffix = base, 1
+        while os.path.exists(os.path.join(self.entries_dir, entry_id)):
+            suffix += 1
+            entry_id = "%s-%d" % (base, suffix)
+        return entry_id
+
+    @contextlib.contextmanager
+    def _new_entry(self, entry_id):
+        """Build entry ``entry_id`` in a staging directory, then commit it.
+
+        The body writes ``trace.clap`` and ``manifest.json`` into the
+        yielded staging :class:`CorpusEntry`; on a clean exit one
+        :func:`durable.move` renames the directory into place, which is
+        the entry's commit point.  An error discards the staging
+        directory.  A crash leaves it behind under a dot name that
+        :meth:`entry_ids` skips and a retry from the same process
+        replaces, so it never blocks the retry.
+        """
+        path = os.path.join(self.entries_dir, entry_id)
+        if os.path.exists(path):
+            raise CorpusError("corpus entry %s already exists" % entry_id)
+        staging = os.path.join(self.entries_dir, "." + durable.tmp_path(entry_id))
+        shutil.rmtree(staging, ignore_errors=True)
+        os.makedirs(staging)
+        try:
+            yield CorpusEntry(staging)
+        except Exception:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+        durable.move(staging, path)
 
     def add(self, source, name=None, config=None, entry_id=None,
             flush_every=16, recorded=None, extra_manifest=None):
@@ -419,13 +448,7 @@ class Corpus:
         (the fleet stamps ``{"fleet": {shard, cluster}}``).  Returns the
         new :class:`CorpusEntry`.
         """
-        if not isinstance(source, str):
-            raise CorpusError(
-                "corpus entries need the program source text to be "
-                "self-contained; pass MiniLang source, not a compiled program"
-            )
-        program = compile_source(source, name=name)
-        config = config or ClapConfig()
+        program, config = _compile(source, name, config)
         pipeline = ClapPipeline(program, config)
         t0 = time.monotonic()
         if recorded is None:
@@ -435,113 +458,83 @@ class Corpus:
                 "refusing to store a recording with no observed failure"
             )
         time_record = time.monotonic() - t0
-
-        sha = _sha256(source)
         if entry_id is None:
-            entry_id = "%s-s%d-%s" % (program.name, recorded.seed, sha[:8])
-        entry_path = os.path.join(self.entries_dir, entry_id)
-        if os.path.exists(entry_path):
-            raise CorpusError("corpus entry %s already exists" % entry_id)
-        os.makedirs(entry_path)
-        entry = CorpusEntry(entry_path)
-
-        # Genuine streaming write: re-run the failing seed with the
-        # recorder flushing chunk by chunk into the container, then check
-        # the durable bytes describe the very same execution.  Ring
-        # configs re-run through the bounded flight recorder instead and
-        # persist one CHUNK_RING chunk per surviving segment — the
-        # container then holds exactly the suffix a post-mortem reader
-        # would have found, and the manifest carries the decode anchors.
-        ring_mode = getattr(config, "ring_bytes", None) is not None
-        writer = ClapWriter(entry.trace_path)
-        meta = {
-            "entry": entry_id,
-            "program": program.name,
-            "seed": recorded.seed,
-        }
-        if ring_mode:
-            streamed = pipeline.record_once(recorded.seed)
-            ring_sink = streamed.ring_sink
-            for thread in sorted(
-                set(ring_sink.threads()) | set(streamed.recorder.logs)
-            ):
-                segments = (
-                    list(ring_sink.iter_segments(thread))
-                    if thread in ring_sink.threads()
-                    else []
-                )
-                if not segments:
-                    writer.write_chunk(
-                        thread, [], final=True, flags=CHUNK_RING
-                    )
-                    continue
-                for i, seg in enumerate(segments):
-                    writer.write_chunk(
-                        thread,
-                        decode_tokens(seg.body),
-                        final=(i == len(segments) - 1),
-                        flags=CHUNK_RING,
-                    )
-            meta["ring"] = True
-        else:
-            sink = StreamingTraceSink(writer, flush_every=flush_every)
-            streamed = pipeline.record_once(recorded.seed, sink=sink)
-        writer.close(meta=meta)
-        same_bug = recorded.bug is not None and recorded.bug.same_failure(
-            streamed.bug
-        )
-        if not same_bug or streamed.recorder.logs != recorded.recorder.logs:
-            raise CorpusError(
-                "seed %d replayed differently while streaming to disk; "
-                "refusing to store a non-deterministic recording"
-                % recorded.seed
+            entry_id = "%s-s%d-%s" % (
+                program.name, recorded.seed, _sha256(source)[:8]
             )
 
-        result = recorded.result
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "entry_id": entry_id,
-            "program": {
-                "name": program.name,
-                "source": source,
-                "sha256": sha,
-            },
-            "record": dict(
-                {key: getattr(config, key) for key in _RECORD_PARAMS},
-                seed=recorded.seed,
-            ),
-            "bug": {
-                "kind": recorded.bug.kind,
-                "message": recorded.bug.message,
-                "thread": recorded.bug.thread,
-                "line": recorded.bug.line,
-            },
-            "stats": {
-                "thread_names": sorted(result.thread_names.values()),
-                "n_instructions": result.total_instructions(),
-                "n_branches": result.total_branches(),
-                "n_saps": result.total_saps(),
-                "log_bytes": recorded.log_size_bytes(),
-                "instrumentation_ops": recorded.recorder.instrumentation_ops,
-                "time_record": time_record,
-            },
-            "recovered": False,
-        }
-        if ring_mode:
-            ring_info = streamed.ring or {}
-            manifest["ring"] = {
-                "ring_bytes": ring_info.get("ring_bytes"),
-                "segment_bytes": ring_info.get("segment_bytes"),
-                "lossy": streamed.lossy,
-                "threads": {
-                    t: dict(info, anchor=info["anchor"].to_json())
-                    for t, info in ring_info.get("threads", {}).items()
-                },
+        with self._new_entry(entry_id) as entry:
+            # Genuine streaming write: re-run the failing seed with the
+            # recorder flushing chunk by chunk into the container, then
+            # check the durable bytes describe the very same execution.
+            # Ring configs re-run through the bounded flight recorder
+            # instead and persist one CHUNK_RING chunk per surviving
+            # segment — the container then holds exactly the suffix a
+            # post-mortem reader would have found, and the manifest
+            # carries the decode anchors.
+            ring_mode = getattr(config, "ring_bytes", None) is not None
+            writer = ClapWriter(entry.trace_path)
+            meta = {
+                "entry": entry_id,
+                "program": program.name,
+                "seed": recorded.seed,
             }
-        if extra_manifest:
-            manifest.update(extra_manifest)
-        entry._write_manifest(manifest)
-        return entry
+            if ring_mode:
+                streamed = pipeline.record_once(recorded.seed)
+                ring_sink = streamed.ring_sink
+                for thread in sorted(
+                    set(ring_sink.threads()) | set(streamed.recorder.logs)
+                ):
+                    # A thread with no surviving segment still gets one
+                    # (empty) final chunk.
+                    bodies = [
+                        decode_tokens(seg.body)
+                        for seg in ring_sink.iter_segments(thread)
+                    ] if thread in ring_sink.threads() else []
+                    bodies = bodies or [[]]
+                    for i, tokens in enumerate(bodies):
+                        writer.write_chunk(
+                            thread,
+                            tokens,
+                            final=(i == len(bodies) - 1),
+                            flags=CHUNK_RING,
+                        )
+                meta["ring"] = True
+            else:
+                sink = StreamingTraceSink(writer, flush_every=flush_every)
+                streamed = pipeline.record_once(recorded.seed, sink=sink)
+            writer.close(meta=meta)
+            same_bug = recorded.bug is not None and recorded.bug.same_failure(
+                streamed.bug
+            )
+            if not same_bug or streamed.recorder.logs != recorded.recorder.logs:
+                raise CorpusError(
+                    "seed %d replayed differently while streaming to disk; "
+                    "refusing to store a non-deterministic recording"
+                    % recorded.seed
+                )
+
+            extra = {}
+            if ring_mode:
+                ring_info = streamed.ring or {}
+                extra["ring"] = {
+                    "ring_bytes": ring_info.get("ring_bytes"),
+                    "segment_bytes": ring_info.get("segment_bytes"),
+                    "lossy": streamed.lossy,
+                    "threads": {
+                        t: dict(info, anchor=info["anchor"].to_json())
+                        for t, info in ring_info.get("threads", {}).items()
+                    },
+                }
+            extra.update(extra_manifest or {})
+            entry._write_manifest(
+                _manifest(
+                    entry_id, program, source, config, recorded.seed,
+                    recorded.bug, recorded.result, recorded.recorder,
+                    time_record, extra,
+                )
+            )
+        return self.entry(entry_id)
 
     def add_recorded(self, source, recorder, result, name=None, config=None,
                      entry_id=None, tag=None, seed=-1, provenance=None,
@@ -557,76 +550,77 @@ class Corpus:
         the SR3xx finding that drove the search) is kept in the manifest.
         Returns the new :class:`CorpusEntry`.
         """
-        if not isinstance(source, str):
-            raise CorpusError(
-                "corpus entries need the program source text to be "
-                "self-contained; pass MiniLang source, not a compiled program"
-            )
-        program = compile_source(source, name=name)
-        config = config or ClapConfig()
-        bug = result.bug
-        if bug is None:
+        program, config = _compile(source, name, config)
+        if result.bug is None:
             raise CorpusError(
                 "refusing to store a recording with no observed failure"
             )
-        sha = _sha256(source)
         if entry_id is None:
             # The program name may be a file path; an entry id must be a
             # single directory component under entries/.
             base_name = os.path.basename(program.name) or "program"
-            base = "%s-%s-%s" % (base_name, tag or "witness", sha[:8])
-            entry_id = base
-            suffix = 1
-            while os.path.exists(os.path.join(self.entries_dir, entry_id)):
-                suffix += 1
-                entry_id = "%s-%d" % (base, suffix)
-        entry_path = os.path.join(self.entries_dir, entry_id)
-        if os.path.exists(entry_path):
-            raise CorpusError("corpus entry %s already exists" % entry_id)
-        os.makedirs(entry_path)
-        entry = CorpusEntry(entry_path)
+            entry_id = self.free_entry_id(
+                "%s-%s-%s" % (base_name, tag or "witness", _sha256(source)[:8])
+            )
 
-        writer = ClapWriter(entry.trace_path)
-        for thread in sorted(recorder.logs):
-            writer.write_chunk(thread, recorder.logs[thread], final=True)
-        writer.close(
-            meta={"entry": entry_id, "program": program.name, "seed": seed}
+        with self._new_entry(entry_id) as entry:
+            writer = ClapWriter(entry.trace_path)
+            for thread in sorted(recorder.logs):
+                writer.write_chunk(thread, recorder.logs[thread], final=True)
+            writer.close(
+                meta={"entry": entry_id, "program": program.name, "seed": seed}
+            )
+            extra = {"provenance": provenance} if provenance else {}
+            extra.update(extra_manifest or {})
+            entry._write_manifest(
+                _manifest(
+                    entry_id, program, source, config, seed, result.bug,
+                    result, recorder, time_record, extra,
+                )
+            )
+        return self.entry(entry_id)
+
+
+def _compile(source, name, config):
+    if not isinstance(source, str):
+        raise CorpusError(
+            "corpus entries need the program source text to be "
+            "self-contained; pass MiniLang source, not a compiled program"
         )
+    return compile_source(source, name=name), config or ClapConfig()
 
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "entry_id": entry_id,
-            "program": {
-                "name": program.name,
-                "source": source,
-                "sha256": sha,
-            },
-            "record": dict(
-                {key: getattr(config, key) for key in _RECORD_PARAMS},
-                seed=seed,
-            ),
-            "bug": {
-                "kind": bug.kind,
-                "message": bug.message,
-                "thread": bug.thread,
-                "line": bug.line,
-            },
-            "stats": {
-                "thread_names": sorted(result.thread_names.values()),
-                "n_instructions": result.total_instructions(),
-                "n_branches": result.total_branches(),
-                "n_saps": result.total_saps(),
-                "log_bytes": recorder.log_size_bytes(),
-                "instrumentation_ops": getattr(
-                    recorder, "instrumentation_ops", 0
-                ),
-                "time_record": time_record,
-            },
-            "recovered": False,
-        }
-        if provenance:
-            manifest["provenance"] = provenance
-        if extra_manifest:
-            manifest.update(extra_manifest)
-        entry._write_manifest(manifest)
-        return entry
+
+def _manifest(entry_id, program, source, config, seed, bug, result, recorder,
+              time_record, extra):
+    """The ``manifest.json`` of a new entry; ``extra`` sections go last."""
+    manifest = {
+        "format": MANIFEST_FORMAT,
+        "entry_id": entry_id,
+        "program": {
+            "name": program.name,
+            "source": source,
+            "sha256": _sha256(source),
+        },
+        "record": dict(
+            {key: getattr(config, key) for key in _RECORD_PARAMS},
+            seed=seed,
+        ),
+        "bug": {
+            "kind": bug.kind,
+            "message": bug.message,
+            "thread": bug.thread,
+            "line": bug.line,
+        },
+        "stats": {
+            "thread_names": sorted(result.thread_names.values()),
+            "n_instructions": result.total_instructions(),
+            "n_branches": result.total_branches(),
+            "n_saps": result.total_saps(),
+            "log_bytes": recorder.log_size_bytes(),
+            "instrumentation_ops": getattr(recorder, "instrumentation_ops", 0),
+            "time_record": time_record,
+        },
+        "recovered": False,
+    }
+    manifest.update(extra)
+    return manifest
