@@ -12,7 +12,9 @@ machine-readable as ``results/BENCH_encoding.json`` (parsed by the CI
 * **table1** — per-benchmark clause counts: the HB closure must drop
   strictly more than zero Frw clauses on *every* entry, never increase
   the total clause count, and every entry must still reproduce from the
-  HB-closed system's schedule.
+  HB-closed system's schedule.  Its prune counters must equal the raw
+  minus the pruned choice variables, and it must drop strictly more
+  than zero choice variables on the lock-based entries (``LOCK_BASED``).
 * **cache** — a two-entry corpus run through ``run_batch`` twice: the
   second run must be all cache hits and its JSONL must match the first
   modulo volatile fields (wall clocks, pids, cache counters) — the
@@ -38,6 +40,7 @@ from repro.tracing.decoder import decode_log
 from conftest import emit, pipeline_artifacts
 
 SCALING_SIZES = (4, 8, 12)
+LOCK_BASED = ("pbzip2", "bbuf", "pfscan", "apache")
 MAX_SECONDS = 120
 # CI gate on the largest scaling size.  Measured headroom: the HB
 # closure lands 1.5-1.8x end-to-end on this workload; 1.25x leaves
@@ -170,6 +173,12 @@ def test_table1_clause_counts():
         # Strictly fewer Frw clauses on every entry, no total regression.
         assert hb_rf < raw_rf, name
         assert shb.n_clauses <= sraw.n_clauses, name
+        # Prune counters are totals relative to the raw encoding.
+        assert (
+            sraw.n_choice_vars - shb.n_choice_vars == shb.n_pruned_choice_vars
+        ), name
+        if name in LOCK_BASED:
+            assert shb.n_pruned_choice_vars > 0, name
         solved = solve_constraints(hb, max_seconds=MAX_SECONDS)
         assert solved.ok, name
         outcome = pipeline.replay(solved.schedule, recorded.bug)

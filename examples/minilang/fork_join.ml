@@ -1,7 +1,8 @@
 // Fork/join pipeline with no races at all: main initialises, workers run
 // on disjoint array halves, main reads results only after joining.  The
-// analyzer proves every pair non-MHP — a clean report, and with
-// `--static-prune` the encoder drops every cross-stage rf candidate.
+// analyzer proves every pair non-MHP — a clean report — and the
+// encoder's happens-before closure pins every read to the one write that
+// fork/join orders before it.
 
 int data[4];
 int sum0 = 0;

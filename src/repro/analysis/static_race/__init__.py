@@ -4,7 +4,10 @@ CLAP uses static analysis twice: once to decide *which* accesses are
 shared (``repro.analysis.escape``), and once to decide which shared
 accesses can actually *race* — the paper offloads that to Locksmith and
 only encodes order constraints for the remainder.  This package is our
-version of the second half, operating on MiniLang bytecode CFGs:
+version of the second half, operating on MiniLang bytecode CFGs.  It
+drives ``repro analyze`` and ``repro explore``; the constraint encoder
+prunes Frw from the recorded hard edges alone (``repro.constraints.hb``)
+and does not consume it:
 
 ``sites``
     Extraction of global-access and synchronization sites from the CFGs.
@@ -16,7 +19,7 @@ version of the second half, operating on MiniLang bytecode CFGs:
     thread-root reachability (reusing ``escape.thread_roots``).
 ``races``
     Race-pair detection: MHP ∧ shared ∧ lockset-disjoint, and the dual
-    proven-race-free pair set used for constraint pruning.
+    proven-race-free pair set.
 ``lockorder``
     Lock-order graph (acquires-while-holding) and deadlock cycles.
 ``valueflow``
@@ -31,14 +34,10 @@ version of the second half, operating on MiniLang bytecode CFGs:
     SR401/SR402 findings double as explore predicates too.
 ``diagnostics``
     Stable diagnostic codes, severities, text and JSON rendering.
-``prune``
-    The export consumed by ``repro.constraints``: statically proven
-    race-free site pairs keyed so recorded SAPs can be matched back.
 
 Everything here over-approximates parallelism and under-approximates
 held locks, so "racy" is conservative (superset of any dynamic
-detector's findings) and "race-free" is a proof — the only direction
-that matters when the result gates constraint pruning.
+detector's findings) and "race-free" is a proof.
 """
 
 from repro.analysis.static_race.diagnostics import Diagnostic, StaticReport
@@ -50,7 +49,6 @@ from repro.analysis.static_race.patterns import (
     ViolationPredicate,
     find_bug_patterns,
 )
-from repro.analysis.static_race.prune import StaticPruneInfo, compute_prune_info
 from repro.analysis.static_race.races import RaceAnalysis, analyze_races
 from repro.analysis.static_race.report import analyze_program
 from repro.analysis.static_race.robustness import (
@@ -67,7 +65,6 @@ __all__ = [
     "PatternReport",
     "RaceAnalysis",
     "RobustnessReport",
-    "StaticPruneInfo",
     "StaticReport",
     "ViolationPredicate",
     "analyze_lock_order",
@@ -77,7 +74,6 @@ __all__ = [
     "collect_access_sites",
     "compute_locksets",
     "compute_mhp",
-    "compute_prune_info",
     "find_bug_patterns",
     "robustness_patterns",
 ]

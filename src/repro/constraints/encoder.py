@@ -4,7 +4,6 @@ from repro.analysis.symbolic import free_syms
 from repro.constraints.hb import HBClosure, HBPruner
 from repro.constraints.memory_order import encode_memory_order
 from repro.constraints.model import AtMostOne, ConstraintSystem, OLt
-from repro.constraints.prune import RWPruner
 from repro.constraints.rw import encode_read_write
 from repro.constraints.sync_order import encode_sync_order
 
@@ -91,7 +90,6 @@ def encode(
     shared,
     preexisting=frozenset(),
     preexited=frozenset(),
-    prune=None,
     hb=True,
     relax_synth=True,
 ):
@@ -110,10 +108,6 @@ def encode(
         checkpoint, when encoding a checkpointed suffix (the initial
         values should then come from the snapshot — the caller overwrites
         ``system.initial_values`` accordingly).
-    prune : StaticPruneInfo, optional
-        Proven-race-free site pairs from ``analysis.static_race``; when
-        given, Frw additionally drops candidates/clauses the static
-        critical-section rules show impossible, equisatisfiably.
     hb : bool
         When True (the default), compute the happens-before closure of
         the hard edges once and prune Frw with it unconditionally — the
@@ -189,20 +183,12 @@ def encode(
 
     # Frw — pruned with the happens-before closure of the hard edges
     # accumulated above (Fmo and Fso must be encoded first; the pruner's
-    # soundness argument depends on it), plus the static critical-section
-    # rules when a StaticPruneInfo certificate is supplied.
+    # soundness argument depends on it).
     closure = None
     pruner = None
     if hb:
         closure = HBClosure(list(system.saps), system.hard_edges)
-        if prune is not None:
-            pruner = RWPruner(summaries, static_info=prune, closure=closure)
-        else:
-            pruner = HBPruner(closure)
-    elif prune is not None:
-        pruner = RWPruner(
-            summaries, hard_edges=system.hard_edges, static_info=prune
-        )
+        pruner = HBPruner(closure)
     rw_clauses, rw_eo, rf_candidates = encode_read_write(summaries, pruner=pruner)
     system.clauses.extend(rw_clauses)
     if relax_synth and any_synth:

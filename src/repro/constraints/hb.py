@@ -40,19 +40,14 @@ from dataclasses import dataclass
 class PruneStats:
     """Counters surfaced through ``constraints.stats.ConstraintStats``.
 
-    All counts are relative to the *raw* (completely unpruned) encoding,
-    whichever pruner produced them — the always-on HB layer alone, or the
-    HB layer plus the static critical-section rules.
+    All counts are relative to the *raw* (``hb=False``, completely
+    unpruned) encoding.
     """
 
-    candidates_pruned: int = 0  # write candidates removed (R1/R2/R4/R5)
-    init_pruned: int = 0  # INIT options removed (R3/R4)
-    forced_reads: int = 0  # reads pinned to a single source (R4)
+    candidates_pruned: int = 0  # write candidates removed (R1/R2)
+    init_pruned: int = 0  # INIT options removed (R3)
     clauses_pruned: int = 0  # rf clauses skipped as hard-edge implied
     pairs_considered: int = 0  # (read, candidate) pairs examined
-    # Share of candidates_pruned owed to the static region rules (R4/R5)
-    # rather than the unconditional must-order rules.
-    region_candidates_pruned: int = 0
 
     @property
     def choice_vars_pruned(self):
@@ -160,6 +155,47 @@ class HBClosure:
     reaches = must_before
 
 
+def _must_order_closure(hard_edges):
+    """{uid: set of uids provably after it} from the hard-edge DAG.
+
+    The set-based reference implementation of the transitive closure —
+    :class:`repro.constraints.hb.HBClosure` replaces it on the encoding
+    hot path, and the differential tests check the two agree edge for
+    edge.  Falls back to an empty closure (no pruning) if the edges are
+    somehow cyclic.
+    """
+    unique = {(edge.a, edge.b) for edge in hard_edges}
+    succs = {}
+    indegree = {}
+    for a, b in unique:
+        succs.setdefault(a, set()).add(b)
+        indegree.setdefault(a, indegree.get(a, 0))
+        indegree[b] = indegree.get(b, 0) + 1
+    nodes = set(indegree)
+    # Kahn topological order.
+    order = []
+    ready = sorted((n for n in nodes if indegree[n] == 0), reverse=True)
+    degree = dict(indegree)
+    while ready:
+        node = ready.pop()
+        order.append(node)
+        for succ in succs.get(node, ()):
+            degree[succ] -= 1
+            if degree[succ] == 0:
+                ready.append(succ)
+    if len(order) != len(nodes):
+        return {}  # cycle: refuse to prune anything
+    descendants = {}
+    for node in reversed(order):
+        acc = set()
+        for succ in succs.get(node, ()):
+            acc.add(succ)
+            acc |= descendants.get(succ, set())
+        if acc:
+            descendants[node] = acc
+    return descendants
+
+
 class HBPruner:
     """Always-on Frw pruning from the hard-edge must-order alone.
 
@@ -182,9 +218,8 @@ class HBPruner:
     for any kept choice the shadowing chain ends in a kept candidate
     whose own nomid clause subsumes them.
 
-    :class:`repro.constraints.prune.RWPruner` layers the static
-    critical-section rules (R4/R5) on top by overriding the two region
-    hooks; the shared closure is computed once by the encoder.
+    This is the encoding's only Frw pruner; the closure it queries is
+    computed once per encoding by the encoder.
     """
 
     def __init__(self, closure):
@@ -194,28 +229,11 @@ class HBPruner:
     def must_before(self, uid_a, uid_b):
         return self.hb.must_before(uid_a, uid_b)
 
-    # -- static-analysis hooks (no-ops without a certificate) ------------
-
-    def _region_forced_source(self, read, candidates):
-        return None
-
-    def _dead_region_write(self, read, w):
-        return False
-
     # -- the filter ------------------------------------------------------
 
     def filter_candidates(self, read, candidates):
-        """Return (kept_candidates, include_init, forced_candidate)."""
+        """Return (kept_candidates, include_init)."""
         self.stats.pairs_considered += len(candidates) + 1
-
-        forced = self._region_forced_source(read, candidates)
-        if forced is not None:
-            self.stats.forced_reads += 1
-            removed = sum(1 for w in candidates if w.uid != forced.uid)
-            self.stats.candidates_pruned += removed
-            self.stats.region_candidates_pruned += removed
-            self.stats.init_pruned += 1
-            return [forced], False, forced
 
         kept = []
         for w in candidates:
@@ -231,7 +249,7 @@ class HBPruner:
         if not kept and not include_init:
             include_init = True  # defensive: never leave a read sourceless
             self.stats.init_pruned -= 1
-        return kept, include_init, None
+        return kept, include_init
 
     def _candidate_impossible(self, read, w, candidates):
         if self.must_before(read.uid, w.uid):
@@ -243,9 +261,6 @@ class HBPruner:
                 other.uid, read.uid
             ):
                 return True  # R2: shadowed
-        if self._dead_region_write(read, w):
-            self.stats.region_candidates_pruned += 1
-            return True
         return False
 
     # -- clause-level skips (redundant, not just impossible) -------------

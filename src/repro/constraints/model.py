@@ -139,10 +139,8 @@ class ConstraintSystem:
     # and threads that already exited (joins on them are pre-satisfied).
     preexisting: frozenset = frozenset()
     preexited: frozenset = frozenset()
-    # PruneStats from the Frw pruner: the always-on HB must-order layer
-    # (constraints.hb), plus the static critical-section rules when
-    # --static-prune supplied a certificate.  None only for hb=False raw
-    # encodings.
+    # PruneStats from the always-on HB must-order Frw pruner
+    # (constraints.hb).  None only for hb=False raw encodings.
     prune_stats: object = None
     # Eviction-horizon relaxation counters (flight-recorder logs only):
     # {"synth_saps", "dropped_conditions", "relaxed_reads",

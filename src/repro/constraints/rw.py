@@ -29,12 +29,10 @@ from repro.constraints.model import (
 def encode_read_write(summaries, pruner=None):
     """Build Frw.  Returns (clauses, exactly_one, rf_candidates).
 
-    ``pruner``, when given (an :class:`repro.constraints.hb.HBPruner` —
-    normally the encoder's always-on instance, or the static-analysis
-    :class:`repro.constraints.prune.RWPruner` subclass), drops reads-from
-    candidates and clauses the hard-edge must-order (plus any static
-    certificates) proves impossible or redundant; the result is
-    equisatisfiable with the unpruned encoding.
+    ``pruner``, when given (the encoder's always-on
+    :class:`repro.constraints.hb.HBPruner`), drops reads-from candidates
+    and clauses the hard-edge must-order proves impossible or redundant;
+    the result is equisatisfiable with the unpruned encoding.
     """
     clauses = []
     exactly_one = []
@@ -59,7 +57,7 @@ def encode_read_write(summaries, pruner=None):
             ]
             include_init = True
             if pruner is not None:
-                candidates, include_init, _forced = pruner.filter_candidates(
+                candidates, include_init = pruner.filter_candidates(
                     read, candidates
                 )
             sources = [w.uid for w in candidates]

@@ -72,14 +72,6 @@ class ClapConfig:
     # the sequential incremental loop (bit-identical to 'smt-inc').
     portfolio_workers: int = 3
     smt_max_seconds: float | None = None
-    # Feed the static race analysis (analysis.static_race) into the Frw
-    # encoder: candidates proven impossible for race-free site pairs are
-    # dropped.  On by default (the pruning is equisatisfiable — see
-    # tests/test_properties.py); disable with ``repro reproduce
-    # --no-static-prune`` or ClapConfig(static_prune=False).  (The
-    # hard-edge happens-before pruning needs no certificate and is
-    # always on.)
-    static_prune: bool = True
     # Parallel per-thread symbolic execution: >1 fans thread re-execution
     # over a worker pool; traces under symexec.PARALLEL_MIN_BLOCKS decoded
     # basic blocks stay serial regardless (fork overhead dominates below).
@@ -181,11 +173,6 @@ class ClapPipeline:
         self.config = config or ClapConfig()
         self.shared = shared_variables(program)
         self.paths = ProgramPaths.build(program)
-        self.prune_info = None
-        if self.config.static_prune:
-            from repro.analysis.static_race import compute_prune_info
-
-            self.prune_info = compute_prune_info(program)
 
     # -- phase 1 ----------------------------------------------------------
 
@@ -267,10 +254,6 @@ class ClapPipeline:
 
     # -- phase 2 ----------------------------------------------------------
 
-    def _prune_config(self):
-        """The Frw prune configuration, as the analysis cache keys it."""
-        return {"hb": True, "static": self.prune_info is not None}
-
     def analyze(self, recorded, cache=None, timings=None):
         """Decode logs, run symbolic execution, encode the constraints.
 
@@ -310,7 +293,6 @@ class ClapPipeline:
                 self.program,
                 recorded.recorder,
                 self.config.memory_model,
-                self._prune_config(),
             )
             t0 = time.monotonic()
             hit = cache.load(material)
@@ -351,7 +333,6 @@ class ClapPipeline:
             self.config.memory_model,
             self.program.symbols,
             self.shared,
-            prune=self.prune_info,
         )
         timings["encode"] = time.monotonic() - t1
         if cache is not None:

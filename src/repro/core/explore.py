@@ -87,9 +87,6 @@ class ExploreConfig:
     # tried per predicate, and on retargetable asserts per combination.
     max_combos: int = 16
     max_asserts: int = 3
-    # Static Frw pruning for the encoded system (same switch as
-    # ``repro reproduce --static-prune``).
-    static_prune: bool = True
     # Restrict the search to these predicate codes (empty: all known).
     codes: tuple = ()
 
@@ -101,7 +98,6 @@ class ExploreConfig:
             max_steps=self.max_steps,
             max_cs=self.max_cs,
             smt_max_seconds=self.smt_max_seconds,
-            static_prune=self.static_prune,
         )
 
 
@@ -464,7 +460,6 @@ class ExploreDriver:
             model,
             self.program.symbols,
             self.pipeline.shared,
-            prune=self.pipeline.prune_info,
         )
         for atom in goal_atoms:
             if isinstance(atom, SWChoice):

@@ -94,7 +94,9 @@ class JsonlSink:
     a killed batch leaves a durable results prefix there.  ``close()``
     then renames the partial onto ``path`` with :func:`durable.move`:
     the finished results file appears atomically and is never
-    observable torn or half-written.
+    observable torn or half-written.  A killed run's partial is resumed:
+    its torn last line, a record that was never acknowledged, is cut off
+    before new lines append.
     """
 
     def __init__(self, path):
@@ -102,12 +104,27 @@ class JsonlSink:
         self.partial_path = path + ".partial"
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
+        self._drop_torn_tail(self.partial_path)
         self._fh = open(self.partial_path, "a", encoding="utf-8")
         if self._fh.tell() == 0 and os.path.exists(path):
             # Append semantics across runs: fold the previous finished
             # file into the new partial before adding lines.
             with open(path, "r", encoding="utf-8") as prev:
                 self._append(prev.read())
+
+    @staticmethod
+    def _drop_torn_tail(partial_path):
+        """Truncate ``partial_path`` back to its last newline, durably."""
+        try:
+            with open(partial_path, "rb+") as fh:
+                data = fh.read()
+                if not data or data.endswith(b"\n"):
+                    return
+                fh.truncate(data.rfind(b"\n") + 1)
+                fh.flush()
+                os.fsync(fh.fileno())
+        except FileNotFoundError:
+            pass
 
     def _append(self, text):
         self._fh.write(text)

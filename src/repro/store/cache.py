@@ -2,25 +2,24 @@
 
 The offline front end — decode, symbolic re-execution, constraint
 encoding — is a pure function of (program, per-thread path logs, memory
-model, prune configuration).  ``repro batch`` re-runs the same corpus
-entries over and over (new solver, regression sweeps, CI), so this cache
-persists the front end's output inside the corpus directory and replays
-it on hits, driving the re-analysis cost per run toward zero.
+model).  ``repro batch`` re-runs the same corpus entries over and over
+(new solver, regression sweeps, CI), so this cache persists the front
+end's output inside the corpus directory and replays it on hits, driving
+the re-analysis cost per run toward zero.
 
 Layout: ``<root>/<key[:2]>/<key>.pkl`` where ``key`` is the sha256 of a
 canonical JSON *key material* dict::
 
     {"program":      sha256 of the compiled program,
      "trace":        sha256 over every thread's encoded token stream,
-     "memory_model": "sc" | "tso" | "pso",
-     "prune":        {"hb": bool, "static": bool}}
+     "memory_model": "sc" | "tso" | "pso"}
 
 The payload is a pickle holding the schema version, the key material,
 the thread summaries, the encoded :class:`ConstraintSystem` and the
-constraint-stats snapshot.  A lookup whose stored schema version or
-prune configuration no longer matches the request is *stale*: it is
-deleted, counted (``CacheStats.stale``) and reported as a miss —
-``repro corpus verify`` performs the same check corpus-wide.
+constraint-stats snapshot.  A lookup whose stored schema version no
+longer matches the current one is *stale*: it is deleted, counted
+(``CacheStats.stale``) and reported as a miss — ``repro corpus verify``
+performs the same check corpus-wide.
 """
 
 import hashlib
@@ -39,7 +38,9 @@ from repro.tracing.logfmt import encode_tokens
 # v3: the FENCE sync SAP kind (weak-memory robustness pass) — cached
 #     summaries from before the fence statement existed must not be
 #     reused for programs that now compile differently.
-ANALYSIS_SCHEMA_VERSION = 3
+# v4: the static Frw pruning layer is gone, so the key material lost its
+#     "prune" configuration and the stats snapshot its static counters.
+ANALYSIS_SCHEMA_VERSION = 4
 
 
 class AnalysisCache:
@@ -78,12 +79,11 @@ class AnalysisCache:
         return digest.hexdigest()
 
     @classmethod
-    def key_material(cls, program, recorder, memory_model, prune_config):
+    def key_material(cls, program, recorder, memory_model):
         return {
             "program": cls.program_fingerprint(program),
             "trace": cls.trace_fingerprint(recorder),
             "memory_model": memory_model,
-            "prune": dict(prune_config),
         }
 
     @staticmethod
@@ -99,8 +99,8 @@ class AnalysisCache:
     def load(self, material):
         """Return the payload dict for ``material``, or None on a miss.
 
-        Stale entries (schema or prune-config mismatch, unreadable
-        pickle) are deleted and counted as both ``stale`` and a miss.
+        Stale entries (schema mismatch, unreadable pickle) are deleted
+        and counted as both ``stale`` and a miss.
         """
         key = self.key_of(material)
         path = self._path(key)
@@ -116,7 +116,6 @@ class AnalysisCache:
         if (
             not isinstance(payload, dict)
             or payload.get("schema") != ANALYSIS_SCHEMA_VERSION
-            or payload.get("material", {}).get("prune") != material["prune"]
         ):
             self._discard(path)
             self.stats.stale += 1

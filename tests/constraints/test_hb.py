@@ -2,9 +2,8 @@
 
 import random
 
-from repro.constraints.hb import HBClosure, HBPruner
+from repro.constraints.hb import HBClosure, HBPruner, _must_order_closure
 from repro.constraints.model import OLt
-from repro.constraints.prune import _must_order_closure
 
 
 def closure_of(nodes, edges):
@@ -55,6 +54,18 @@ def test_partial_per_thread_order_stays_partial():
     assert not hb.must_before("r0", "w1")
 
 
+def test_must_order_closure_transitive():
+    edges = [OLt("a", "b"), OLt("b", "c"), OLt("a", "b")]  # dup on purpose
+    desc = _must_order_closure(edges)
+    assert desc["a"] == {"b", "c"}
+    assert desc["b"] == {"c"}
+    assert "c" not in desc
+
+
+def test_must_order_closure_refuses_cycles():
+    assert _must_order_closure([OLt("a", "b"), OLt("b", "a")]) == {}
+
+
 def test_matches_reference_closure_on_random_dags():
     rng = random.Random(7)
     for trial in range(30):
@@ -90,12 +101,10 @@ def test_hbpruner_counts_against_raw_encoding():
 
     hb = closure_of(["w1", "w2", "r"], [("w1", "w2"), ("w2", "r")])
     pruner = HBPruner(hb)
-    kept, include_init, forced = pruner.filter_candidates(
+    kept, include_init = pruner.filter_candidates(
         FakeSAP("r"), [FakeSAP("w1"), FakeSAP("w2")]
     )
     assert [w.uid for w in kept] == ["w2"]
     assert not include_init
-    assert forced is None
     assert pruner.stats.candidates_pruned == 1
     assert pruner.stats.init_pruned == 1
-    assert pruner.stats.region_candidates_pruned == 0

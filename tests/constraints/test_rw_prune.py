@@ -1,13 +1,11 @@
-"""Static-prune correctness: the pruned Frw is equisatisfiable and smaller."""
+"""HB-prune correctness: the pruned Frw is equisatisfiable and smaller."""
 
 import pytest
 
 from repro.analysis.escape import shared_variables
-from repro.analysis.static_race import compute_prune_info
 from repro.analysis.symexec import execute_recorded_paths
 from repro.constraints.encoder import encode
 from repro.constraints.model import INIT
-from repro.constraints.prune import RWPruner, _must_order_closure
 from repro.constraints.stats import compute_stats
 from repro.minilang import compile_source
 from repro.runtime.interpreter import Interpreter
@@ -60,60 +58,33 @@ def record(src, memory_model="sc", require_bug=True, seeds=range(300)):
     raise AssertionError("bug never manifested")
 
 
-def encode_three(src, memory_model="sc", **kwargs):
-    """(raw, hb, static): unpruned, HB-closed, HB-closed + static rules."""
-    prog, shared, summaries = record(src, memory_model=memory_model, **kwargs)
-    info = compute_prune_info(prog)
-    raw = encode(summaries, memory_model, prog.symbols, shared, hb=False)
-    base = encode(summaries, memory_model, prog.symbols, shared)
-    pruned = encode(summaries, memory_model, prog.symbols, shared, prune=info)
-    return raw, base, pruned
-
-
 def encode_both(src, memory_model="sc", **kwargs):
-    _, base, pruned = encode_three(src, memory_model=memory_model, **kwargs)
-    return base, pruned
-
-
-def test_must_order_closure_transitive():
-    from repro.constraints.model import OLt
-
-    edges = [OLt("a", "b"), OLt("b", "c"), OLt("a", "b")]  # dup on purpose
-    desc = _must_order_closure(edges)
-    assert desc["a"] == {"b", "c"}
-    assert desc["b"] == {"c"}
-    assert "c" not in desc
-
-
-def test_must_order_closure_refuses_cycles():
-    from repro.constraints.model import OLt
-
-    assert _must_order_closure([OLt("a", "b"), OLt("b", "a")]) == {}
+    """(raw, pruned): the unpruned and the HB-closed encoding."""
+    prog, shared, summaries = record(src, memory_model=memory_model, **kwargs)
+    raw = encode(summaries, memory_model, prog.symbols, shared, hb=False)
+    pruned = encode(summaries, memory_model, prog.symbols, shared)
+    return raw, pruned
 
 
 def test_pruned_candidates_are_subset():
-    raw, base, pruned = encode_three(RACE_SRC)
-    for read_uid, sources in base.rf_candidates.items():
-        assert set(sources) <= set(raw.rf_candidates[read_uid])
+    raw, pruned = encode_both(RACE_SRC)
     for read_uid, sources in pruned.rf_candidates.items():
-        assert set(sources) <= set(base.rf_candidates[read_uid])
-    assert pruned.prune_stats is not None
-    assert base.prune_stats is not None  # HB pruning is always on
+        assert set(sources) <= set(raw.rf_candidates[read_uid])
+    assert pruned.prune_stats is not None  # HB pruning is always on
     assert raw.prune_stats is None  # hb=False is the one raw escape hatch
 
 
 def test_stats_account_for_every_removed_candidate():
-    raw, base, pruned = encode_three(RACE_SRC)
-    sraw, sb, sp = compute_stats(raw), compute_stats(base), compute_stats(pruned)
+    raw, pruned = encode_both(RACE_SRC)
+    sraw, sp = compute_stats(raw), compute_stats(pruned)
     # Prune counters are always relative to the raw encoding.
-    assert sraw.n_choice_vars - sb.n_choice_vars == sb.n_pruned_choice_vars
     assert sraw.n_choice_vars - sp.n_choice_vars == sp.n_pruned_choice_vars
-    assert sb.n_pruned_choice_vars > 0  # fork/join always proves something
-    assert sraw.n_clauses >= sb.n_clauses >= sp.n_clauses
+    assert sp.n_pruned_choice_vars > 0  # fork/join always proves something
+    assert sraw.n_clauses >= sp.n_clauses
 
 
 def test_join_read_prunes_init_and_is_forced_to_write():
-    raw, base, _pruned = encode_three(JOIN_READ_SRC)
+    raw, pruned = encode_both(JOIN_READ_SRC)
     # main's post-join read of x: the HB closure drops INIT and the
     # shadowed pre-spawn write, leaving exactly the worker write.
     post_join_reads = [
@@ -125,37 +96,36 @@ def test_join_read_prunes_init_and_is_forced_to_write():
     ]
     assert post_join_reads
     for uid in post_join_reads:
-        assert len(base.rf_candidates[uid]) < len(raw.rf_candidates[uid])
-        assert INIT not in base.rf_candidates[uid]
+        assert len(pruned.rf_candidates[uid]) < len(raw.rf_candidates[uid])
+        assert INIT not in pruned.rf_candidates[uid]
 
 
 @pytest.mark.parametrize("src", [RACE_SRC, LOCKED_SRC, JOIN_READ_SRC])
 @pytest.mark.parametrize("memory_model", ["sc", "tso", "pso"])
 def test_pruned_encoding_equisatisfiable(src, memory_model):
     try:
-        base, pruned = encode_both(src, memory_model=memory_model)
+        raw, pruned = encode_both(src, memory_model=memory_model)
     except AssertionError:
         pytest.skip("bug did not manifest under %s" % memory_model)
-    r_base = solve_constraints(base)
+    r_raw = solve_constraints(raw)
     r_pruned = solve_constraints(pruned)
-    assert r_base.ok == r_pruned.ok
+    assert r_raw.ok == r_pruned.ok
 
 
 def test_pruned_solution_satisfies_unpruned_system():
-    base, pruned = encode_both(RACE_SRC)
+    raw, pruned = encode_both(RACE_SRC)
     solved = solve_constraints(pruned)
     assert solved.ok
     # The schedule from the pruned system must be a schedule of the full
     # system too: same SAP set, all hard edges respected.
     position = {uid: i for i, uid in enumerate(solved.schedule)}
-    assert set(position) == set(base.saps)
-    for edge in base.hard_edges:
+    assert set(position) == set(raw.saps)
+    for edge in raw.hard_edges:
         assert position[edge.a] < position[edge.b]
 
 
 def test_pruner_never_leaves_a_read_sourceless():
     prog, shared, summaries = record(RACE_SRC)
-    info = compute_prune_info(prog)
-    system = encode(summaries, "sc", prog.symbols, shared, prune=info)
+    system = encode(summaries, "sc", prog.symbols, shared)
     for sources in system.rf_candidates.values():
         assert sources

@@ -12,7 +12,6 @@ def material(n):
         "program": "%064x" % n,
         "trace": "%064x" % (n * 31),
         "memory_model": "sc",
-        "prune": {"hb": True, "static": True},
     }
 
 

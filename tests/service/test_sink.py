@@ -36,6 +36,20 @@ def test_killed_run_leaves_readable_prefix(tmp_path):
     assert [r["n"] for r in JsonlSink.read(path)] == [1, 2]
 
 
+def test_resumed_partial_drops_its_torn_tail(tmp_path):
+    # A killed batch left a torn, never-acknowledged record at the end of
+    # the partial; a new sink must cut it off rather than glue the next
+    # record onto it.
+    path = str(tmp_path / "r.jsonl")
+    with open(path + ".partial", "w") as fh:
+        fh.write('{"a": 1}\n{"a": 2}\n{"a": 3, "tor')
+    sink = JsonlSink(path)
+    sink.write({"a": 4})
+    sink.write({"a": 5})
+    sink.close()
+    assert [r["a"] for r in JsonlSink.read(path)] == [1, 2, 4, 5]
+
+
 def test_append_semantics_preserved_across_runs(tmp_path):
     path = str(tmp_path / "results.jsonl")
     first = JsonlSink(path)

@@ -10,9 +10,6 @@ from repro.store.cache import ANALYSIS_SCHEMA_VERSION, AnalysisCache
 
 from tests.conftest import RACE_SRC
 
-# Tracks the ClapConfig.static_prune default (on since the explore PR).
-PRUNE = {"hb": True, "static": True}
-
 
 @pytest.fixture(scope="module")
 def recorded_race():
@@ -20,9 +17,9 @@ def recorded_race():
     return pipeline, pipeline.record()
 
 
-def material_of(pipeline, recorded, memory_model="sc", prune=None):
+def material_of(pipeline, recorded, memory_model="sc"):
     return AnalysisCache.key_material(
-        pipeline.program, recorded.recorder, memory_model, prune or PRUNE
+        pipeline.program, recorded.recorder, memory_model
     )
 
 
@@ -41,7 +38,6 @@ def test_key_material_is_content_addressed(recorded_race):
     # Any component flip changes the key.
     for variant in (
         material_of(pipeline, recorded, memory_model="tso"),
-        material_of(pipeline, recorded, prune={"hb": True, "static": False}),
         dict(m1, program="0" * 64),
         dict(m1, trace="0" * 64),
     ):
@@ -90,24 +86,6 @@ def test_schema_version_mismatch_is_stale(tmp_path, recorded_race):
     _, timings = analyze_with(pipeline, recorded, cache)
     assert timings["cache"] == "miss"
     assert cache.entry_paths()
-
-
-def test_prune_config_mismatch_is_stale(tmp_path, recorded_race):
-    pipeline, recorded = recorded_race
-    cache = AnalysisCache(str(tmp_path / "cache"))
-    analyze_with(pipeline, recorded, cache)
-    [path] = cache.entry_paths()
-    # Same key on disk, but the stored prune config no longer matches
-    # what the pipeline requests (e.g. the entry predates a prune-rule
-    # change that forgot to bump the schema).
-    with open(path, "rb") as fh:
-        payload = pickle.loads(fh.read())
-    payload["material"]["prune"] = {"hb": False, "static": True}
-    with open(path, "wb") as fh:
-        fh.write(pickle.dumps(payload))
-    assert cache.load(material_of(pipeline, recorded)) is None
-    assert cache.stats.stale == 1
-    assert not os.path.exists(path)
 
 
 def test_unreadable_entry_is_stale(tmp_path, recorded_race):

@@ -190,7 +190,6 @@ MATERIAL = {
     "program": "p" * 64,
     "trace": "t" * 64,
     "memory_model": "sc",
-    "prune": {"hb": True, "static": True},
 }
 
 

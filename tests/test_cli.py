@@ -63,6 +63,7 @@ def test_reproduce_end_to_end(race_file, capsys):
     assert code == 0
     assert "reproduced   : True" in out
     assert "schedule" in out
+    assert "clauses (hb closure)\n" in out
 
 
 def test_reproduce_genval(race_file, capsys):
@@ -117,16 +118,6 @@ def test_analyze_fail_on_race_exit_code(race_file, locked_file, capsys):
     assert main(["analyze", race_file, "--fail-on-race"]) == 1
     capsys.readouterr()
     assert main(["analyze", locked_file, "--fail-on-race"]) == 0
-
-
-def test_reproduce_with_static_prune(race_file, capsys):
-    code = main(
-        ["reproduce", race_file, "--stickiness", "0.3", "--static-prune"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "reproduced   : True" in out
-    assert "pruned       :" in out
 
 
 def test_unknown_command_rejected():

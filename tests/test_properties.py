@@ -156,18 +156,17 @@ def test_every_ground_truth_schedule_replays(seed, model):
         assert outcome.result.final_globals == original.final_globals
 
 
-# -- static pruning preserves the encoding's models ----------------------
+# -- HB pruning preserves the encoding's models ---------------------------
 
 _PRUNE_BENCHMARKS = ["sim_race", "swarm", "pfscan", "bbuf", "aget", "figure2"]
 
 
 @pytest.mark.parametrize("name", _PRUNE_BENCHMARKS)
-def test_static_prune_preserves_satisfiability_and_reproduction(name):
-    """Property: for a seeded benchmark bug, the analyzer-pruned encoding
-    is satisfiable iff the unpruned one is, and its schedule still
-    reproduces the failure.  This is the gate behind ClapConfig's
-    ``static_prune`` flag staying sound."""
-    from repro.analysis.static_race import compute_prune_info
+def test_hb_prune_preserves_satisfiability_and_reproduction(name):
+    """Property: for a seeded benchmark bug, the HB-pruned encoding is
+    satisfiable iff the raw (``hb=False``) one is, and its schedule still
+    reproduces the failure.  This is the gate behind the always-on
+    happens-before pruning staying sound."""
     from repro.analysis.symexec import execute_recorded_paths
     from repro.bench.programs import get_benchmark
     from repro.constraints.encoder import encode
@@ -185,21 +184,21 @@ def test_static_prune_preserves_satisfiability_and_reproduction(name):
         program, decode_log(recorded.recorder), pipeline.shared, bug=recorded.bug
     )
 
-    base = encode(
-        summaries, config.memory_model, program.symbols, pipeline.shared
-    )
-    pruned = encode(
+    raw = encode(
         summaries,
         config.memory_model,
         program.symbols,
         pipeline.shared,
-        prune=compute_prune_info(program),
+        hb=False,
+    )
+    pruned = encode(
+        summaries, config.memory_model, program.symbols, pipeline.shared
     )
 
-    r_base = solve_constraints(base)
+    r_raw = solve_constraints(raw)
     r_pruned = solve_constraints(pruned)
-    assert r_base.ok == r_pruned.ok
-    assert r_base.ok, name  # recorded bugs are always reproducible
+    assert r_raw.ok == r_pruned.ok
+    assert r_raw.ok, name  # recorded bugs are always reproducible
 
     stats = compute_stats(pruned)
     assert stats.n_pruned_choice_vars > 0, name
