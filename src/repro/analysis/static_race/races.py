@@ -15,11 +15,13 @@ detector assigns a verdict:
     the variable is thread-local per the escape pass.
 
 The *dual* of the report — every pair whose verdict is not ``'racy'`` —
-is the proven-race-free set that the constraint pruner consumes.
+is the proven-race-free set; no constraint pruner consumes it (the
+encoder prunes Frw from the recorded happens-before edges alone).
 Verdicts are also exposed keyed by ``(var, line, kind)`` so recorded
 SAPs can look themselves up; when several sites collapse onto one key
 (same source line compiled into multiple CFG positions) the worst
-verdict wins, keeping the pruning side conservative.
+verdict wins, so a key never reads as race-free while any of its sites
+races.
 """
 
 from dataclasses import dataclass, field
@@ -57,7 +59,7 @@ class RacePair:
 
 @dataclass
 class RaceAnalysis:
-    """Everything the reporter and the pruner need, computed in one shot."""
+    """Everything the race reporter needs, computed in one shot."""
 
     program: object
     classification: dict  # var -> (shared?, reason)

@@ -17,7 +17,7 @@ the failure it records.  This package makes that durable:
   stats) plus add / load / verify / compact / recover operations.
 * :mod:`repro.store.cache` — the content-addressed analysis cache that
   lets ``repro batch`` re-runs skip symbolic execution and constraint
-  encoding for (program, trace, memory model, prune config) keys already
+  encoding for (program, trace, memory model) keys already
   analyzed — plus its fleet-wide shared tier
   (:class:`~repro.store.cache.SharedAnalysisCache`: one directory serving
   every shard, with a size budget, LRU eviction and eviction counters).
