@@ -11,6 +11,9 @@ and does not consume it:
 
 ``sites``
     Extraction of global-access and synchronization sites from the CFGs.
+``dataflow``
+    The interprocedural forward dataflow skeleton the lockset and
+    must-init engines share.
 ``locksets``
     Interprocedural must-/may-hold lockset dataflow (which mutexes are
     provably held at each site).

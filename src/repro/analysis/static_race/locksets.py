@@ -27,7 +27,7 @@ context (sound for must), with union it over-approximates (sound for may).
 from dataclasses import dataclass
 
 from repro.minilang import bytecode as bc
-from repro.analysis.escape import thread_roots
+from repro.analysis.static_race.dataflow import InterprocEngine
 
 MUST = "must"
 MAY = "may"
@@ -76,99 +76,23 @@ def compute_locksets(program, mode=MUST):
     )
 
 
-class _Engine:
+class _Engine(InterprocEngine):
     def __init__(self, program, mode):
-        self.program = program
+        super().__init__(program)
         self.mode = mode
-        self.roots = set(thread_roots(program))
-        self.entries = {}  # func -> frozenset | absent (unreached)
-        self.exits = {}  # func -> frozenset
-        self.at_point = {}
-        for root in self.roots:
-            if root in program.functions:
-                self.entries[root] = frozenset()
 
     def meet(self, a, b):
         return (a & b) if self.mode == MUST else (a | b)
 
-    def solve(self):
-        # Whole-program rounds until entries/exits stabilise.  Each round
-        # re-derives call-site contributions from scratch so stale meets
-        # never stick.  The lattice is finite (subsets of the mutex set per
-        # function) and per-round updates are deterministic, so a generous
-        # round cap doubles as a safety net for pathological recursion.
-        # Returns True on a reached fixpoint; False if the cap ran out,
-        # in which case the caller must discard the partial state.
-        for _ in range(len(self.program.functions) * 2 + 8):
-            new_entries = {
-                root: frozenset()
-                for root in self.roots
-                if root in self.program.functions
-            }
-            changed = False
-            for name in sorted(self.entries):
-                entry = self.entries[name]
-                exit_set = self._analyze_function(name, entry, new_entries)
-                if self.exits.get(name) != exit_set:
-                    self.exits[name] = exit_set
-                    changed = True
-            for name, entry in new_entries.items():
-                if self.entries.get(name) != entry:
-                    self.entries[name] = entry
-                    changed = True
-            if not changed:
-                return True
-        return False
+    def transfer(self, instr, state):
+        if instr.op == bc.LOCK:
+            return state | {instr.arg}
+        if instr.op == bc.UNLOCK:
+            return state - {instr.arg}
+        return state
 
-    def _call_effect(self, callee, state):
+    def apply_summary(self, state, entry, exit_set):
         """Apply the callee's gen/kill summary to the caller's lockset."""
-        entry = self.entries.get(callee)
-        exit_set = self.exits.get(callee)
-        if entry is None or exit_set is None:
-            return state  # not analyzed yet: identity, refined next round
         gen = exit_set - entry
         kill = entry - exit_set
         return (state - kill) | gen
-
-    def _transfer(self, instr, state, func_name, point, new_entries):
-        self.at_point[point] = state
-        op = instr.op
-        if op == bc.LOCK:
-            return state | {instr.arg}
-        if op == bc.UNLOCK:
-            return state - {instr.arg}
-        if op == bc.CALL:
-            callee = instr.arg
-            if callee in self.program.functions:
-                if callee in new_entries:
-                    new_entries[callee] = self.meet(new_entries[callee], state)
-                else:
-                    new_entries[callee] = state
-                return self._call_effect(callee, state)
-        return state
-
-    def _analyze_function(self, name, entry, new_entries):
-        func = self.program.functions[name]
-        in_states = {0: entry}
-        worklist = [0]
-        exit_state = None
-        while worklist:
-            block_id = worklist.pop()
-            block = func.blocks[block_id]
-            state = in_states[block_id]
-            for idx, instr in enumerate(block.instrs):
-                point = (name, block_id, idx)
-                state = self._transfer(instr, state, name, point, new_entries)
-                if instr.op == bc.RET:
-                    exit_state = (
-                        state if exit_state is None else self.meet(exit_state, state)
-                    )
-            for succ in block.successors():
-                prev = in_states.get(succ)
-                merged = state if prev is None else self.meet(prev, state)
-                if merged != prev:
-                    in_states[succ] = merged
-                    worklist.append(succ)
-        # A function that never returns (or whose RETs are unreachable)
-        # contributes an identity effect.
-        return entry if exit_state is None else exit_state

@@ -15,13 +15,13 @@ Two small dataflow engines feed the SR3xx bug-pattern passes
   bug-pattern reporter that must not cry wolf.
 
 * **Must-init** (:func:`compute_must_writes`): interprocedural
-  "definitely written before this point" sets per program point, with the
-  same context-insensitive entry-meet strategy as the lockset engine
-  (:mod:`repro.analysis.static_race.locksets`): a thread root starts with
-  nothing written, a callee's entry is the intersection over its call
-  sites, and calls apply the callee's must-write summary.  Intersection
-  meets under-approximate, so "v is must-init here" is trustworthy while
-  its absence merely *suspects* a use-before-init.
+  "definitely written before this point" sets per program point, on the
+  context-insensitive entry-meet skeleton it shares with the lockset
+  engine (:mod:`repro.analysis.static_race.dataflow`): a thread root
+  starts with nothing written, a callee's entry is the intersection over
+  its call sites, and calls apply the callee's must-write summary.
+  Intersection meets under-approximate, so "v is must-init here" is
+  trustworthy while its absence merely *suspects* a use-before-init.
 
 :func:`span_points` enumerates the program points on any intra-function
 path between two sites — the region a lock must cover for an RMW span to
@@ -31,7 +31,7 @@ be atomic.
 from dataclasses import dataclass
 
 from repro.minilang import bytecode as bc
-from repro.analysis.escape import thread_roots
+from repro.analysis.static_race.dataflow import InterprocEngine
 
 _EMPTY = frozenset()
 
@@ -297,86 +297,19 @@ def compute_must_writes(program):
     )
 
 
-class _MustWriteEngine:
-    """Same interprocedural skeleton as the lockset engine, with a
-    gen-only transfer (writes are never killed) and intersection meets."""
+class _MustWriteEngine(InterprocEngine):
+    """The shared interprocedural skeleton with a gen-only transfer
+    (writes are never killed) and intersection meets."""
 
-    def __init__(self, program):
-        self.program = program
-        self.roots = set(thread_roots(program))
-        self.entries = {}
-        self.exits = {}
-        self.at_point = {}
-        for root in self.roots:
-            if root in program.functions:
-                self.entries[root] = frozenset()
+    def meet(self, a, b):
+        return a & b
 
-    def solve(self):
-        for _ in range(len(self.program.functions) * 2 + 8):
-            new_entries = {
-                root: frozenset()
-                for root in self.roots
-                if root in self.program.functions
-            }
-            changed = False
-            for name in sorted(self.entries):
-                entry = self.entries[name]
-                exit_set = self._analyze_function(name, entry, new_entries)
-                if self.exits.get(name) != exit_set:
-                    self.exits[name] = exit_set
-                    changed = True
-            for name, entry in new_entries.items():
-                if self.entries.get(name) != entry:
-                    self.entries[name] = entry
-                    changed = True
-            if not changed:
-                return True
-        return False
-
-    def _call_effect(self, callee, state):
-        entry = self.entries.get(callee)
-        exit_set = self.exits.get(callee)
-        if entry is None or exit_set is None:
-            return state
-        return state | (exit_set - entry)
-
-    def _transfer(self, instr, state, point, new_entries):
-        self.at_point[point] = state
-        op = instr.op
-        if op in (bc.STORE_GLOBAL, bc.STORE_ELEM):
+    def transfer(self, instr, state):
+        if instr.op in (bc.STORE_GLOBAL, bc.STORE_ELEM):
             info = self.program.symbols.globals.get(instr.arg)
             if info is not None and info.is_data:
                 return state | {instr.arg}
-        elif op == bc.CALL:
-            callee = instr.arg
-            if callee in self.program.functions:
-                if callee in new_entries:
-                    new_entries[callee] = new_entries[callee] & state
-                else:
-                    new_entries[callee] = state
-                return self._call_effect(callee, state)
         return state
 
-    def _analyze_function(self, name, entry, new_entries):
-        func = self.program.functions[name]
-        in_states = {0: entry}
-        worklist = [0]
-        exit_state = None
-        while worklist:
-            block_id = worklist.pop()
-            block = func.blocks[block_id]
-            state = in_states[block_id]
-            for idx, instr in enumerate(block.instrs):
-                point = (name, block_id, idx)
-                state = self._transfer(instr, state, point, new_entries)
-                if instr.op == bc.RET:
-                    exit_state = (
-                        state if exit_state is None else (exit_state & state)
-                    )
-            for succ in block.successors():
-                prev = in_states.get(succ)
-                merged = state if prev is None else (prev & state)
-                if merged != prev:
-                    in_states[succ] = merged
-                    worklist.append(succ)
-        return entry if exit_state is None else exit_state
+    def apply_summary(self, state, entry, exit_set):
+        return state | (exit_set - entry)

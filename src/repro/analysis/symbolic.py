@@ -28,9 +28,9 @@ class SymExpr:
     def __reduce__(self):
         # Frozen dataclasses with __slots__ break default unpickling (the
         # slot-state restore goes through the blocked __setattr__), and
-        # expression trees cross process/disk boundaries in the parallel
-        # symexec workers and the analysis cache — rebuild via __init__,
-        # whose field order matches the slots by construction.
+        # expression trees are pickled by the analysis cache and with the
+        # constraint system sent to solver worker processes — rebuild via
+        # __init__, whose field order matches the slots by construction.
         return (type(self), tuple(getattr(self, s) for s in self.__slots__))
 
 

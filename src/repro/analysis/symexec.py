@@ -28,13 +28,11 @@ from repro.analysis.symbolic import (
     Const,
     Sym,
     SymExpr,
-    expr_size,
     free_syms,
     mk_binop,
     mk_ite,
     mk_not,
     mk_unop,
-    sym_eval,
     wrap,
 )
 
@@ -133,15 +131,6 @@ class ThreadSummary:
     # index into `conditions` before the provisional passing-condition was
     # appended).  The explore driver retargets one of these as the bug.
     asserts: list = field(default_factory=list)
-
-    def data_saps(self):
-        return [s for s in self.saps if s.is_data]
-
-    def constraint_size(self):
-        total = sum(expr_size(c.expr) for c in self.conditions)
-        if self.bug_expr is not None:
-            total += expr_size(self.bug_expr)
-        return total
 
 
 class _Frame:
@@ -796,166 +785,3 @@ def execute_recorded_paths(program, decoded, shared, bug=None, checkpoint=None):
         spawn_args.update(executor._spawn_args)
     return summaries
 
-
-# -- parallel mode --------------------------------------------------------
-
-# Below this many decoded basic blocks (summed over all threads) the fork
-# and pickling overhead of a worker pool outweighs the symbolic execution
-# itself, so small traces stay serial.
-PARALLEL_MIN_BLOCKS = 512
-
-
-def _symexec_job(spec, attempt=1):
-    """Worker-pool executor: symbolically run ONE thread's recorded path.
-
-    The spec carries pickled blobs (program, decoded trace, bug, args)
-    because specs cross the process boundary as plain dicts.  Expected
-    failures come back as structured ``symexec_error`` outcomes so the
-    parent re-raises a :class:`SymExecError` instead of burning the
-    pool's crash-retry budget on a deterministic error.
-    """
-    import pickle
-
-    program = pickle.loads(spec["program"])
-    trace = pickle.loads(spec["trace"])
-    bug = pickle.loads(spec["bug"])
-    executor = SymbolicExecutor(
-        program,
-        spec["thread"],
-        trace,
-        set(spec["shared"]),
-        bug=bug,
-        args=pickle.loads(spec["args"]),
-    )
-    try:
-        summary = executor.run()
-    except SymExecError as exc:
-        return {
-            "status": "symexec_error",
-            "error": str(exc),
-            "thread": exc.thread or spec["thread"],
-        }
-    return {
-        "status": "ok",
-        "summary": pickle.dumps(summary),
-        "spawn_args": pickle.dumps(executor._spawn_args),
-    }
-
-
-def parallel_summaries(
-    program,
-    decoded,
-    shared,
-    bug=None,
-    workers=2,
-    min_blocks=PARALLEL_MIN_BLOCKS,
-    timeout=300.0,
-):
-    """:func:`execute_recorded_paths`, fanned over a worker pool.
-
-    Per-thread symbolic execution is embarrassingly parallel *within a
-    spawn generation*: a thread's re-execution needs only its parent's
-    recorded spawn arguments, so threads are processed in waves by name
-    depth (``1`` first, then ``1:1``/``1:2``, …), each wave distributed
-    across a :class:`repro.service.pool.WorkerPool`.  Produces summaries
-    equal (``==``) to the serial path's — byte-identical pickles are NOT
-    guaranteed, because frozenset fields serialize in per-process hash
-    order; ``tests/analysis/test_parallel_symexec.py`` checks the
-    semantic equality.
-
-    Falls back to the serial implementation when the trace is small
-    (``min_blocks``), when ``workers < 2``, for checkpoint-resumed traces
-    (those need the serial resume plumbing), or inside a daemonic worker
-    process (nested pools cannot spawn children).
-    """
-    import multiprocessing
-    import pickle
-
-    total_blocks = sum(t.total_blocks() for t in decoded.values())
-    if (
-        workers < 2
-        or len(decoded) < 3  # the root wave is alone anyway
-        or total_blocks < min_blocks
-        or any(t.root.resumed for t in decoded.values())
-        or multiprocessing.current_process().daemon
-    ):
-        return execute_recorded_paths(program, decoded, shared, bug=bug)
-
-    from repro.service.pool import WorkerPool
-
-    program_blob = pickle.dumps(program)
-    bug_blob = pickle.dumps(bug)
-    shared_list = sorted(shared)
-
-    by_depth = {}
-    for name in decoded:
-        by_depth.setdefault(name.count(":"), []).append(name)
-
-    summaries = {}
-    spawn_args = {"1": ("main", [])}
-    for depth in sorted(by_depth):
-        wave = sorted(by_depth[depth])
-        jobs = []
-        for name in wave:
-            if name not in spawn_args:
-                raise SymExecError(
-                    "no spawn record for thread %s (parent missing from logs?)"
-                    % name,
-                    thread=name,
-                )
-            func_name, args = spawn_args[name]
-            trace = decoded[name]
-            if trace.root.func != func_name:
-                raise SymExecError(
-                    "thread %s log is for %s but parent spawned %s"
-                    % (name, trace.root.func, func_name),
-                    thread=name,
-                )
-            jobs.append((name, trace, args))
-
-        if len(jobs) == 1:
-            # A one-thread wave (always the root) runs inline.
-            name, trace, args = jobs[0]
-            executor = SymbolicExecutor(
-                program, name, trace, shared, bug=bug, args=args
-            )
-            summaries[name] = executor.run()
-            spawn_args.update(executor._spawn_args)
-            continue
-
-        specs = [
-            {
-                "thread": name,
-                "program": program_blob,
-                "trace": pickle.dumps(trace),
-                "args": pickle.dumps(args),
-                "bug": bug_blob,
-                "shared": shared_list,
-                "timeout": timeout,
-                "max_attempts": 2,
-                "backoff": 0.1,
-            }
-            for name, trace, args in jobs
-        ]
-        pool = WorkerPool(_symexec_job, jobs=min(workers, len(jobs)))
-        outcomes = pool.run(specs)
-        for (name, _trace, _args), outcome in zip(jobs, outcomes):
-            if outcome.get("status") == "symexec_error":
-                raise SymExecError(
-                    outcome.get("error", "symbolic execution failed"),
-                    thread=outcome.get("thread", name),
-                )
-            if outcome.get("status") != "ok":
-                raise SymExecError(
-                    "worker %s for thread %s: %s"
-                    % (
-                        outcome.get("status", "failed"),
-                        name,
-                        outcome.get("reason", "no result"),
-                    ),
-                    thread=name,
-                )
-            summaries[name] = pickle.loads(outcome["summary"])
-            spawn_args.update(pickle.loads(outcome["spawn_args"]))
-    # Serial iteration order is (depth, name); the waves above preserve it.
-    return summaries

@@ -56,25 +56,6 @@ class OverheadRow:
     leap_wall: float = 0.0
 
 
-def _run(program, bench, seed, hooks):
-    scheduler = RandomScheduler(
-        seed, stickiness=bench.stickiness, flush_prob=bench.flush_prob
-    )
-    interp = Interpreter(
-        program,
-        memory_model=bench.memory_model,
-        scheduler=scheduler,
-        shared=None if not hooks else None,
-        hooks=hooks,
-        max_steps=bench.max_steps,
-        collect_events=False,
-    )
-    t0 = time.perf_counter()
-    result = interp.run()
-    wall = time.perf_counter() - t0
-    return interp, result, wall
-
-
 def measure_overhead(bench, seed=0, model=None, shared=None):
     """Run one benchmark natively, with the CLAP recorder, and with the
     LEAP recorder; return an :class:`OverheadRow`."""

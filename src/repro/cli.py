@@ -167,7 +167,6 @@ def cmd_reproduce(args):
         flush_prob=args.flush_prob,
         workers=args.workers,
         portfolio_workers=args.portfolio_workers,
-        symexec_workers=args.symexec_workers,
         ring_bytes=args.ring_bytes,
         ring_segment_bytes=args.ring_segment_bytes,
     )
@@ -968,12 +967,6 @@ def build_parser():
         default=3,
         help="worker processes for --solver smt-portfolio "
         "(<= 1 falls back to the sequential incremental loop)",
-    )
-    p.add_argument(
-        "--symexec-workers",
-        type=int,
-        default=0,
-        help="fan per-thread symbolic execution over N worker processes",
     )
     p.add_argument(
         "--profile",

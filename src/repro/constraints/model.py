@@ -162,9 +162,6 @@ class ConstraintSystem:
     def sap(self, uid):
         return self.saps[uid]
 
-    def all_uids(self):
-        return list(self.saps)
-
     def reads(self):
         return [s for s in self.saps.values() if s.is_read]
 
@@ -180,9 +177,3 @@ class ConstraintSystem:
     def num_value_vars(self):
         return sum(1 for s in self.saps.values() if s.is_read)
 
-    def read_of_sym(self, sym_name):
-        for summary in self.summaries.values():
-            sap = summary.reads.get(sym_name)
-            if sap is not None:
-                return sap
-        raise KeyError(sym_name)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.symexec import execute_recorded_paths
 from repro.constraints.encoder import encode
-from repro.core.clap import ClapConfig, ClapError, ClapPipeline, RecordedExecution
+from repro.core.clap import ClapConfig, ClapPipeline
 from repro.runtime.checkpoint import is_quiescent, take_checkpoint
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.replay import replay_schedule
@@ -98,20 +98,6 @@ class CheckpointClapPipeline(ClapPipeline):
             n_checkpoints=state["count"],
             prefix_archives=state["archives"],
         )
-
-    def record(self):
-        candidates = []
-        for seed in self.config.seeds:
-            recorded = self.record_once(seed)
-            if recorded.bug is not None and recorded.bug.kind == "assertion":
-                candidates.append(recorded)
-                if len(candidates) >= self.config.record_candidates:
-                    break
-        if not candidates:
-            raise ClapError(
-                "no failure manifested in %d seeded runs" % len(self.config.seeds)
-            )
-        return min(candidates, key=lambda r: r.result.total_saps())
 
     # -- phase 2 ----------------------------------------------------------
 

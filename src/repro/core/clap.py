@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.minilang import compile_source
 from repro.minilang.compiler import CompiledProgram
 from repro.analysis.escape import shared_variables
-from repro.analysis.symexec import execute_recorded_paths, parallel_summaries
+from repro.analysis.symexec import execute_recorded_paths
 from repro.constraints.encoder import encode
 from repro.constraints.stats import compute_stats
 from repro.runtime.interpreter import Interpreter
@@ -72,22 +72,17 @@ class ClapConfig:
     # the sequential incremental loop (bit-identical to 'smt-inc').
     portfolio_workers: int = 3
     smt_max_seconds: float | None = None
-    # Parallel per-thread symbolic execution: >1 fans thread re-execution
-    # over a worker pool; traces under symexec.PARALLEL_MIN_BLOCKS decoded
-    # basic blocks stay serial regardless (fork overhead dominates below).
-    symexec_workers: int = 0
     # Flight-recorder mode: bound each thread's retained log to
     # ``ring_bytes`` of encoded trace (None = unbounded classic recording).
     # Sealed ``ring_segment_bytes``-sized segments are evicted oldest-first;
     # each carries a decode anchor so the surviving suffix decodes
-    # standalone.  ``prefix_synthesis`` lets the analysis reconstruct the
-    # evicted prefix (store/synthesize.py); with it off, a lossy trace is
-    # refused rather than silently treated as complete.  Ring recording
-    # uses the batched fast-path token encoder; classic recording stays
-    # on the reference recorder (both emit identical tokens).
+    # standalone.  The analysis reconstructs the evicted prefix
+    # (store/synthesize.py) and refuses a lossy trace whose suffix no
+    # legal prefix can account for.  Ring recording uses the batched
+    # fast-path token encoder; classic recording stays on the reference
+    # recorder (both emit identical tokens).
     ring_bytes: int | None = None
     ring_segment_bytes: int = 512
-    prefix_synthesis: bool = True
 
 
 @dataclass
@@ -268,17 +263,6 @@ class ClapPipeline:
             timings = {}
         ring = getattr(recorded, "ring", None)
         lossy = bool(getattr(recorded, "lossy", False))
-        if lossy and not self.config.prefix_synthesis:
-            raise ClapError(
-                "trace is a flight-recorder suffix (%s) and prefix "
-                "synthesis is disabled; refusing to analyze a lossy log "
-                "as if it were complete"
-                % ", ".join(
-                    "%s: %d tokens evicted" % (t, i.get("evicted_tokens", 0))
-                    for t, i in sorted(ring.get("threads", {}).items())
-                    if i.get("evicted_tokens", 0)
-                )
-            )
         material = None
         if cache is not None and lossy:
             # A suffix log's analysis depends on the anchors and the
@@ -314,18 +298,9 @@ class ClapPipeline:
         else:
             decoded = decode_log(recorded.recorder)
         timings["lossy"] = lossy
-        if self.config.symexec_workers > 1:
-            summaries = parallel_summaries(
-                self.program,
-                decoded,
-                self.shared,
-                bug=recorded.bug,
-                workers=self.config.symexec_workers,
-            )
-        else:
-            summaries = execute_recorded_paths(
-                self.program, decoded, self.shared, bug=recorded.bug
-            )
+        summaries = execute_recorded_paths(
+            self.program, decoded, self.shared, bug=recorded.bug
+        )
         t1 = time.monotonic()
         timings["symexec"] = t1 - t0
         system = encode(

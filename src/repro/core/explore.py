@@ -65,10 +65,6 @@ _MIN_MODEL = {
 _MODEL_RANK = {model: rank for rank, model in enumerate(MEMORY_MODELS)}
 
 
-class ExploreError(Exception):
-    pass
-
-
 @dataclass
 class ExploreConfig:
     """Knobs for the witness search."""

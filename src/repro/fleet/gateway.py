@@ -7,7 +7,8 @@ observed failure and the hex-encoded per-thread Ball-Larus token streams
 gateway is a small asyncio TCP server speaking newline-delimited JSON
 that accepts these reports and, for each one:
 
-1. validates it (source hash, decodable token streams, failure present);
+1. validates it (field types, source hash, decodable token streams,
+   failure present);
 2. computes the trace's dedup-cluster signature
    (:mod:`repro.fleet.cluster`);
 3. applies **backpressure**: a report that would enqueue a *new* solve
@@ -30,6 +31,7 @@ drained before :meth:`IngestGateway.serve` returns.
 """
 
 import asyncio
+import dataclasses
 import json
 import socket
 import threading
@@ -37,6 +39,7 @@ import threading
 from repro.core.clap import ClapConfig
 from repro.fleet.cluster import cluster_material, cluster_signature, path_multiset
 from repro.runtime.events import BugReport
+from repro.runtime.memory import MEMORY_MODELS
 from repro.store.corpus import _RECORD_PARAMS, _sha256
 from repro.tracing.logfmt import TraceDecodeError, decode_tokens, encode_tokens
 
@@ -119,6 +122,32 @@ def report_from_entry(entry):
     }
 
 
+# Type of each ClapConfig field, for the report's record parameters.
+_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(ClapConfig)}
+
+# JSON type of each optional ``stats`` field the corpus reads back.
+_STATS_TYPES = {
+    "thread_names": list,
+    "n_instructions": int,
+    "n_branches": int,
+    "n_saps": int,
+    "instrumentation_ops": int,
+}
+
+
+def _typed(value, expected, what):
+    """``value`` if it is a JSON ``expected`` (a type or union); raises
+    :class:`GatewayError` otherwise.  JSON booleans are not numbers, and
+    a float field also takes an integer."""
+    if expected is float:
+        expected = int | float
+    if isinstance(value, bool) != (expected is bool) or not isinstance(
+        value, expected
+    ):
+        raise GatewayError("%s has the wrong type: %r" % (what, value))
+    return value
+
+
 def validate_report(report):
     """Check a wire report and decode it; raises :class:`GatewayError`.
 
@@ -134,42 +163,50 @@ def validate_report(report):
     program = report.get("program")
     if not isinstance(program, dict) or not program.get("source"):
         raise GatewayError("report has no program source")
-    source = program["source"]
-    if not isinstance(source, str):
-        raise GatewayError("program source must be text")
-    claimed = program.get("sha256")
+    source = _typed(program["source"], str, "program source")
+    claimed = _typed(program.get("sha256"), str | None, "program sha256")
     if claimed and claimed != _sha256(source):
         raise GatewayError("program source does not match its claimed hash")
+    name = _typed(program.get("name"), str | None, "program name")
     bug_raw = report.get("bug")
     if not isinstance(bug_raw, dict) or not bug_raw.get("kind"):
         raise GatewayError("report has no failure — nothing to reproduce")
     bug = BugReport(
-        kind=bug_raw.get("kind", "assertion"),
-        message=bug_raw.get("message", ""),
-        thread=bug_raw.get("thread", ""),
-        line=int(bug_raw.get("line", 0)),
+        kind=_typed(bug_raw["kind"], str, "bug.kind"),
+        message=_typed(bug_raw.get("message", ""), str, "bug.message"),
+        thread=_typed(bug_raw.get("thread", ""), str, "bug.thread"),
+        line=_typed(bug_raw.get("line", 0), int, "bug.line"),
     )
     raw_logs = report.get("logs")
     if not isinstance(raw_logs, dict) or not raw_logs:
         raise GatewayError("report has no recorded token streams")
     logs = {}
     for thread, blob in raw_logs.items():
+        _typed(blob, str, "thread %r token stream" % thread)
         try:
             logs[thread] = decode_tokens(bytes.fromhex(blob))
         except (ValueError, TraceDecodeError) as exc:
             raise GatewayError(
                 "thread %r: undecodable token stream: %s" % (thread, exc)
             ) from exc
-    record = report.get("record") or {}
-    try:
-        config = ClapConfig(
-            **{key: record[key] for key in _RECORD_PARAMS if key in record}
+    record = _typed(report.get("record"), dict | None, "record") or {}
+    params = {
+        key: _typed(record[key], _CONFIG_TYPES[key], "record.%s" % key)
+        for key in _RECORD_PARAMS
+        if key in record
+    }
+    if params.get("memory_model", "sc") not in MEMORY_MODELS:
+        raise GatewayError(
+            "record.memory_model %r is not one of %s"
+            % (params["memory_model"], ", ".join(MEMORY_MODELS))
         )
-    except TypeError as exc:
-        raise GatewayError("bad record parameters: %s" % exc) from exc
-    name = program.get("name") or "program"
-    stats = report.get("stats") or {}
-    return source, name, config, logs, bug, stats, int(record.get("seed", -1))
+    seed = _typed(record.get("seed", -1), int, "record.seed")
+    stats = _typed(report.get("stats"), dict | None, "stats") or {}
+    for key, expected in _STATS_TYPES.items():
+        if key in stats:
+            _typed(stats[key], expected, "stats.%s" % key)
+    config = ClapConfig(**params)
+    return source, name or "program", config, logs, bug, stats, seed
 
 
 # -- the gateway -----------------------------------------------------------

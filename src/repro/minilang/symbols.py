@@ -18,10 +18,6 @@ class GlobalInfo:
         return self.size is not None
 
     @property
-    def is_sync(self):
-        return self.type in ("mutex", "cond")
-
-    @property
     def is_data(self):
         return self.type in ("int", "bool")
 

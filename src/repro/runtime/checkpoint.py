@@ -20,7 +20,6 @@ executor re-executes each thread from its snapshotted frames, and replay
 starts from :func:`restore_interpreter` instead of program entry.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 from repro.runtime.thread_state import EXITED, RUNNABLE, Frame, ThreadState
@@ -58,9 +57,6 @@ class Checkpoint:
     threads: list  # ThreadSnapshot list
     next_tid: int = 2
     step: int = 0
-
-    def live_threads(self):
-        return [t for t in self.threads if not t.exited]
 
     def preexisting(self):
         """Names of threads that started before the checkpoint."""

@@ -5,10 +5,5 @@ class MiniRuntimeError(Exception):
     """An error raised by executing a MiniLang program (e.g. div by zero)."""
 
 
-class AssumeFailed(Exception):
-    """Raised internally when an ``assume`` condition is false; the
-    execution is abandoned rather than reported as a bug."""
-
-
 class DeadlockError(MiniRuntimeError):
     """All live threads are blocked."""

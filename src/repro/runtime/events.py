@@ -27,7 +27,7 @@ Data addresses are tuples: ``(var,)`` for scalars, ``(var, index)`` for
 array elements.  Sync addresses are the mutex/condvar name string.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # SAP kind constants.
 READ = "read"
@@ -131,17 +131,3 @@ class ThreadStats:
     branches: int = 0
     saps: int = 0
     sync_ops: int = 0
-
-
-def sap_sort_key(sap):
-    return sap.uid
-
-
-def group_saps_by_thread(saps):
-    """Group a SAP iterable into {thread_name: [saps in index order]}."""
-    by_thread = {}
-    for sap in saps:
-        by_thread.setdefault(sap.thread, []).append(sap)
-    for saps_of_thread in by_thread.values():
-        saps_of_thread.sort(key=lambda s: s.index)
-    return by_thread

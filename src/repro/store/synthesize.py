@@ -89,10 +89,6 @@ class SynthesisReport:
     threads: dict = field(default_factory=dict)  # thread -> ThreadSynthesis
 
     @property
-    def total_synth_blocks(self):
-        return sum(t.synth_blocks for t in self.threads.values())
-
-    @property
     def exact(self):
         return all(t.residual_tokens == 0 for t in self.threads.values())
 

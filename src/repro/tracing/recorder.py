@@ -43,7 +43,6 @@ from repro.tracing.logfmt import (
     TAG_REPEAT,
     _TOKEN_TAGS,
     decode_tokens,
-    encode_segment,
     encode_tokens,
     write_varint,
 )
@@ -286,13 +285,6 @@ class RingTraceSink:
 
     def suffix_tokens(self, thread):
         return decode_tokens(self.suffix_bytes(thread))
-
-    def framed_bytes(self, thread):
-        """The surviving suffix with segment framing, for durable storage."""
-        return b"".join(
-            encode_segment(seg.anchor, seg.body)
-            for seg in self.iter_segments(thread)
-        )
 
     def retained_bytes(self, thread):
         return self._threads[thread].retained_bytes

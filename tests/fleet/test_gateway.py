@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.core.clap import ClapConfig, ClapPipeline
+from repro.core.clap import ClapPipeline
 from repro.fleet import (
     FleetDispatcher,
     IngestGateway,
@@ -80,6 +80,47 @@ def test_ingest_counts_invalid_without_storing(fleet, race_report):
     outcome = gateway.ingest(report)
     assert outcome["status"] == "invalid"
     assert gateway.counters["invalid"] == 1
+    assert fleet.stats()["entries"] == 0
+
+
+def _set_first_log(report, blob):
+    report["logs"][sorted(report["logs"])[0]] = blob
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r: r["bug"].update(line="abc"),
+        lambda r: r["bug"].update(line=None),
+        lambda r: _set_first_log(r, 5),
+        lambda r: r.update(record=[1]),
+        lambda r: r["record"].update(seed="x"),
+        lambda r: r["record"].update(memory_model="bogus"),
+        lambda r: r.update(stats=[1]),
+        lambda r: r["record"].update(max_steps="many"),
+    ],
+    ids=[
+        "line-text",
+        "line-null",
+        "log-int",
+        "record-list",
+        "seed-text",
+        "memory-model-bogus",
+        "stats-list",
+        "max-steps-text",
+    ],
+)
+def test_ingest_rejects_mistyped_fields(fleet, race_report, mutate):
+    """Every mistyped field is a counted ``invalid`` outcome: no crash,
+    no stored entry, no queued solve."""
+    gateway = IngestGateway(fleet)
+    report = json.loads(json.dumps(race_report))
+    mutate(report)
+    outcome = gateway.ingest(report)
+    assert outcome["status"] == "invalid"
+    assert gateway.counters["invalid"] == 1
+    assert gateway.counters["ingested"] == 0
+    assert fleet.queue().depth() == 0
     assert fleet.stats()["entries"] == 0
 
 

@@ -77,16 +77,6 @@ def test_reproduce_from_evicted_log(lossy_run):
     assert json.dumps(report.synthesis)
 
 
-def test_lossy_trace_refused_without_synthesis(lossy_run):
-    """``prefix_synthesis=False`` must refuse a lossy trace outright —
-    never analyze the suffix as if it were the whole execution."""
-    program, _, recorded = lossy_run
-    strict = ClapPipeline(program, flight_config(prefix_synthesis=False))
-    with pytest.raises(ClapError) as err:
-        strict.reproduce_offline(recorded)
-    assert "evicted" in str(err.value)
-
-
 def test_full_budget_ring_is_lossless(lossy_run):
     """A generous budget keeps everything: same reproduction, no
     synthesis, anchors at stream start."""
@@ -187,14 +177,3 @@ def test_ring_chunks_without_manifest_meta_refused(ring_corpus, tmp_path):
     with pytest.raises(CorpusError) as err:
         stripped.load_execution()
     assert "ring" in str(err.value)
-
-
-def test_stored_lossy_refused_without_synthesis(ring_corpus):
-    corpus, entry = ring_corpus
-    stored = corpus.entry(entry.entry_id).load_execution()
-    pipeline = ClapPipeline(
-        stored.program,
-        ClapConfig(**entry.config_kwargs(prefix_synthesis=False)),
-    )
-    with pytest.raises(ClapError):
-        pipeline.reproduce_offline(stored)
