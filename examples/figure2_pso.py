@@ -19,8 +19,8 @@ Run:  python examples/figure2_pso.py
 
 from repro.bench.programs import figure2
 from repro.core.clap import ClapConfig, ClapPipeline
-from repro.core.minimal_cs import minimize_context_switches
 from repro.constraints.context_switch import count_context_switches
+from repro.solver.parallel import solve_generate_validate
 from repro.solver.smt import solve_constraints
 
 
@@ -55,8 +55,13 @@ def reproduce(memory_model, want_line_marker):
     outcome = pipeline.replay(solved.schedule, recorded.bug)
     print("  replay reproduced:", outcome.reproduced)
     show_schedule("solver schedule", system, solved.schedule)
-    tightened = minimize_context_switches(system, solved.schedule, max_seconds=20)
-    if tightened.improved:
+    # Section 4.2's incrementing-bound search, up to one switch below the
+    # solver's schedule.
+    switches = count_context_switches(solved.schedule, system.summaries)
+    tightened = solve_generate_validate(
+        system, max_cs=switches - 1, probes_per_round=16, max_seconds=20
+    )
+    if tightened.ok:
         show_schedule("minimal-switch schedule", system, tightened.schedule)
         outcome = pipeline.replay(tightened.schedule, recorded.bug)
         print("  minimal schedule also reproduces:", outcome.reproduced)

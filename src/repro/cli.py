@@ -166,7 +166,6 @@ def cmd_reproduce(args):
         stickiness=args.stickiness,
         flush_prob=args.flush_prob,
         workers=args.workers,
-        portfolio_workers=args.portfolio_workers,
         ring_bytes=args.ring_bytes,
         ring_segment_bytes=args.ring_segment_bytes,
     )
@@ -933,6 +932,8 @@ def _ring_flags(sub):
 
 
 def build_parser():
+    from repro.core.clap import SOLVERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CLAP concurrency-failure reproduction (PLDI 2013 reproduction)",
@@ -957,16 +958,16 @@ def build_parser():
     p.add_argument(
         "--solver",
         default="smt",
-        choices=["smt", "smt-inc", "smt-portfolio", "genval"],
+        choices=SOLVERS,
     )
     p.add_argument("--max-seeds", type=int, default=500)
-    p.add_argument("--workers", type=int, default=0)
     p.add_argument(
-        "--portfolio-workers",
+        "--workers",
         type=int,
-        default=3,
-        help="worker processes for --solver smt-portfolio "
-        "(<= 1 falls back to the sequential incremental loop)",
+        default=0,
+        help="processes the solver may fork (0 = in-process); "
+        "--solver smt-inc with 2 or more races the bound ladder "
+        "against one genval probe per rung",
     )
     p.add_argument(
         "--profile",
@@ -1104,7 +1105,7 @@ def build_parser():
     p.add_argument(
         "--solver",
         default="smt",
-        choices=["smt", "smt-inc", "smt-portfolio", "genval"],
+        choices=SOLVERS,
     )
     p.add_argument("--timeout", type=float, default=120.0)
     p.add_argument("--max-attempts", type=int, default=3)
@@ -1194,7 +1195,7 @@ def build_parser():
     f.add_argument(
         "--solver",
         default="smt",
-        choices=["smt", "smt-inc", "smt-portfolio", "genval"],
+        choices=SOLVERS,
     )
     f.add_argument("--timeout", type=float, default=120.0)
     f.set_defaults(func=cmd_fleet_serve)
@@ -1208,7 +1209,7 @@ def build_parser():
     f.add_argument(
         "--solver",
         default="smt",
-        choices=["smt", "smt-inc", "smt-portfolio", "genval"],
+        choices=SOLVERS,
     )
     f.add_argument("--timeout", type=float, default=120.0)
     f.add_argument("--out", help="write JSONL results to this file")

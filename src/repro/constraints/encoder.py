@@ -91,7 +91,6 @@ def encode(
     preexisting=frozenset(),
     preexited=frozenset(),
     hb=True,
-    relax_synth=True,
 ):
     """Encode one recorded execution into a :class:`ConstraintSystem`.
 
@@ -115,15 +114,15 @@ def encode(
         model, so the result is equisatisfiable with the raw encoding.
         ``hb=False`` produces the raw, completely unpruned Frw (used by
         the differential tests and the old-vs-new benchmarks).
-    relax_synth : bool
-        Eviction-horizon relaxation for flight-recorder logs (a no-op on
-        complete logs): path conditions whose branches fall inside a
-        synthesized prefix are dropped, and a synthesized read whose value
-        can never be consulted by a retained condition or write has its
-        reads-from ExactlyOne weakened to AtMostOne — the read's value is
-        the "unknown entry state" and the solver need not ground it.
-        Program-order and structural sync edges stay hard: they are
-        implied by the surviving suffix and its anchors.
+
+    Flight-recorder logs get an eviction-horizon relaxation (a no-op on
+    complete logs): path conditions whose branches fall inside a
+    synthesized prefix are dropped, and a synthesized read whose value can
+    never be consulted by a retained condition or write has its reads-from
+    ExactlyOne weakened to AtMostOne — the read's value is the "unknown
+    entry state" and the solver need not ground it.  Program-order and
+    structural sync edges stay hard: they are implied by the surviving
+    suffix and its anchors.
     """
     system = ConstraintSystem(
         memory_model=memory_model,
@@ -146,7 +145,7 @@ def encode(
                 any_synth = True
                 horizon["synth_saps"] += 1
         for cond in summary.conditions:
-            if relax_synth and getattr(cond, "synth", False):
+            if getattr(cond, "synth", False):
                 horizon["dropped_conditions"] += 1
                 continue
             system.conditions.append(cond)
@@ -191,7 +190,7 @@ def encode(
         pruner = HBPruner(closure)
     rw_clauses, rw_eo, rf_candidates = encode_read_write(summaries, pruner=pruner)
     system.clauses.extend(rw_clauses)
-    if relax_synth and any_synth:
+    if any_synth:
         # Eviction-horizon relaxation: a synthesized read must still pick
         # at most one coherent source (the rf-before/rf-nomid clauses keep
         # applying to whichever choice is made), but it is not *forced* to

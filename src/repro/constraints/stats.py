@@ -2,7 +2,7 @@
 of Table 1 — plus the solver-phase counters the incremental CDCL core
 reports (propagations, conflicts, restarts, learned-clause reuse)."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from repro.analysis.symbolic import expr_size
 
@@ -31,21 +31,11 @@ class SolverPhaseStats:
     theory_conflicts: int = 0
 
     def as_dict(self):
-        return {
-            "solve_calls": self.solve_calls,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "conflicts": self.conflicts,
-            "restarts": self.restarts,
-            "learned": self.learned,
-            "learned_literals": self.learned_literals,
-            "reuse_hits": self.reuse_hits,
-            "theory_conflicts": self.theory_conflicts,
-        }
+        return asdict(self)
 
     def snapshot(self):
         """A copy, for per-round deltas."""
-        return SolverPhaseStats(**self.as_dict())
+        return replace(self)
 
     def delta(self, earlier):
         """Counter-wise ``self - earlier`` as a plain dict."""
@@ -72,14 +62,7 @@ class CacheStats:
     bytes_written: int = 0
 
     def as_dict(self):
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale": self.stale,
-            "evictions": self.evictions,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -104,15 +87,7 @@ class PortfolioStats:
     winner_kind: str = ""
 
     def as_dict(self):
-        return {
-            "workers": self.workers,
-            "tasks": self.tasks,
-            "rungs_resolved": self.rungs_resolved,
-            "cancelled": self.cancelled,
-            "respawns": self.respawns,
-            "winner": self.winner,
-            "winner_kind": self.winner_kind,
-        }
+        return asdict(self)
 
 
 def merge_sat_stats(stat_dicts):

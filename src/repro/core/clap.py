@@ -36,11 +36,17 @@ from repro.tracing.recorder import (
     RingTraceSink,
 )
 from repro.solver.parallel import solve_generate_validate
-from repro.solver.smt import solve_constraints, solve_constraints_bounded
+from repro.solver.portfolio import solve_constraints_portfolio
+from repro.solver.smt import solve_constraints
 
 
 class ClapError(Exception):
     pass
+
+
+# The solver front doors ``ClapConfig.solver`` and every ``--solver``
+# option accept.
+SOLVERS = ("smt", "smt-inc", "genval")
 
 
 @dataclass
@@ -53,11 +59,10 @@ class ClapConfig:
     stickiness: float = 0.5
     flush_prob: float = 0.25
     max_steps: int = 2_000_000
-    # Solver selection: 'smt' (sequential, Table 1), 'smt-inc' (the
-    # incremental bound loop — one SAT instance across the c = 0, 1, 2, …
-    # rounds, minimizing context switches best-effort), 'smt-portfolio'
-    # (the incremental loop raced against one genval probe per bound
-    # rung) or 'genval' (generate-and-validate, Table 3).
+    # Solver selection (one of SOLVERS): 'smt' (sequential, Table 1),
+    # 'smt-inc' (the incremental bound loop — one SAT instance across the
+    # c = 0, 1, 2, … rounds, minimizing context switches best-effort) or
+    # 'genval' (generate-and-validate, Table 3).
     solver: str = "smt"
     # Reproduce the exact observed output: pin the failing thread's read
     # values to those in the "core dump" (the paper's racey methodology —
@@ -67,10 +72,10 @@ class ClapConfig:
     pin_observed_reads: bool = False
     record_candidates: int = 4
     max_cs: int = 4
+    # Processes one solve may fork; 0 solves in-process.  'genval' fans
+    # each round's probes over them; 'smt-inc' with 2 or more races the
+    # bound ladder against one genval probe per rung.
     workers: int = 0
-    # Worker processes for --solver smt-portfolio; <= 1 degenerates to
-    # the sequential incremental loop (bit-identical to 'smt-inc').
-    portfolio_workers: int = 3
     smt_max_seconds: float | None = None
     # Flight-recorder mode: bound each thread's retained log to
     # ``ring_bytes`` of encoded trace (None = unbounded classic recording).
@@ -428,34 +433,29 @@ class ClapPipeline:
 
     def solve(self, system):
         cfg = self.config
+        if cfg.solver not in SOLVERS:
+            raise ClapError(
+                "unknown solver %r (choose from %s)"
+                % (cfg.solver, ", ".join(SOLVERS))
+            )
         if cfg.solver == "smt":
             return solve_constraints(system, max_seconds=cfg.smt_max_seconds)
         if cfg.solver == "smt-inc":
-            return solve_constraints_bounded(
-                system, max_cs=cfg.max_cs, max_seconds=cfg.smt_max_seconds
-            )
-        if cfg.solver == "smt-portfolio":
-            # Imported lazily: the portfolio pulls in the service pool,
-            # whose package imports this module.
-            from repro.solver.portfolio import solve_constraints_portfolio
-
             return solve_constraints_portfolio(
                 system,
                 max_cs=cfg.max_cs,
-                workers=cfg.portfolio_workers,
+                workers=cfg.workers,
                 max_seconds=cfg.smt_max_seconds,
             )
-        if cfg.solver == "genval":
-            # Per-probe budgets: a 200k-schedule, 4M-step round split
-            # over the 48 probes of each round.
-            return solve_generate_validate(
-                system,
-                max_cs=cfg.max_cs,
-                workers=cfg.workers,
-                max_schedules_per_probe=4_166,
-                max_steps_per_probe=83_333,
-            )
-        raise ClapError("unknown solver %r" % cfg.solver)
+        # Per-probe budgets: a 200k-schedule, 4M-step round split over
+        # the 48 probes of each round.
+        return solve_generate_validate(
+            system,
+            max_cs=cfg.max_cs,
+            workers=cfg.workers,
+            max_schedules_per_probe=4_166,
+            max_steps_per_probe=83_333,
+        )
 
     # -- phase 3 ----------------------------------------------------------
 

@@ -12,9 +12,10 @@ schedules stops the search, which also realizes Section 4.2's *minimal
 context switches* loop ("start from zero, increment until a solution is
 found").
 
-Parallel mode partitions the ``c >= 1`` rounds by the CSP triple of the
-*first* preemption — exactly the paper's one-process-per-CSP-set scheme —
-and fans the partitions out over a process pool.
+Each round runs one deterministic probe plus seeded re-orders of the same
+bounded space.  With ``workers`` set, the probes of a round fan out over
+the service process pool, one probe per job; the first probe that finds
+a schedule or exhausts the space cancels the rest of the round.
 """
 
 import time
@@ -22,6 +23,9 @@ from dataclasses import dataclass, field
 
 from repro.solver.schedule_gen import ScheduleGenerator
 from repro.solver.validate import ScheduleValidator
+
+# Good schedules one probe collects before it stops.
+MAX_GOOD = 16
 
 
 @dataclass
@@ -56,7 +60,6 @@ def _search_round(
     max_schedules,
     max_steps,
     max_good,
-    first_preemption=None,
 ):
     """One bounded-DFS probe; returns (n_generated, good list, exhausted).
 
@@ -69,7 +72,6 @@ def _search_round(
     for state in generator.walk(
         max_preemptions=c,
         exact_preemptions=c > 0,
-        first_preemption=first_preemption,
         max_schedules=max_schedules,
         max_steps=max_steps,
         order_seed=order_seed,
@@ -81,7 +83,7 @@ def _search_round(
         outcome = validator.validate(state.schedule)
         if outcome.ok:
             good.append((list(state.schedule), outcome.context_switches))
-            if max_good is not None and len(good) >= max_good:
+            if len(good) >= max_good:
                 break
     exhausted = not stats.get("capped", True)
     return generated, good, exhausted
@@ -144,7 +146,6 @@ def solve_generate_validate(
     probes_per_round=48,
     max_schedules_per_probe=4_000,
     max_steps_per_probe=150_000,
-    max_good=16,
     workers=0,
     max_seconds=None,
     faults=None,
@@ -213,7 +214,7 @@ def solve_generate_validate(
                 seeds,
                 max_schedules_per_probe,
                 max_steps_per_probe,
-                max_good,
+                MAX_GOOD,
                 workers,
                 faults=faults,
             )
@@ -231,7 +232,7 @@ def solve_generate_validate(
                     seed,
                     max_schedules_per_probe,
                     max_steps_per_probe,
-                    max_good,
+                    MAX_GOOD,
                 )
                 generated += n
                 good.extend(g)

@@ -38,8 +38,10 @@ same budget evidence sequential would have used).  The driver adopts the
 best find once every rung below it is resolved, then cancels the
 remaining workers through :meth:`WorkerPool.stop_remaining` — losers die
 within one poll interval.  With ``workers <= 1`` the driver calls the
-sequential loop directly and is bit-for-bit identical to
-``--solver smt-inc``.
+sequential loop in-process and is bit-for-bit identical to
+:func:`~repro.solver.smt.solve_constraints_bounded`.  ``--solver smt-inc``
+runs this driver with ``ClapConfig.workers`` as the worker count, so
+``--workers 0`` (the default) is the plain sequential ladder.
 """
 
 import time
@@ -91,24 +93,13 @@ class _PortfolioJob:
     its generator and validator lazily in the worker process.
     """
 
-    def __init__(
-        self,
-        system,
-        max_cs,
-        max_iterations,
-        max_seconds,
-        round_iterations,
-        genval_schedules=GENVAL_MAX_SCHEDULES,
-        genval_steps=GENVAL_MAX_STEPS,
-        genval_good=GENVAL_MAX_GOOD,
-    ):
+    def __init__(self, system, max_cs, max_seconds, round_iterations):
         self.system = system
         self.max_cs = max_cs
-        self.max_iterations = max_iterations
         self.max_seconds = max_seconds
         self.round_iterations = round_iterations
         self.genval = _GenvalProbeJob(
-            system, genval_schedules, genval_steps, genval_good
+            system, GENVAL_MAX_SCHEDULES, GENVAL_MAX_STEPS, GENVAL_MAX_GOOD
         )
 
     def __call__(self, spec, attempt, channel):
@@ -147,7 +138,6 @@ class _PortfolioJob:
         start = time.monotonic()
         result = solver.solve_bounded(
             self.max_cs,
-            max_iterations=self.max_iterations,
             max_seconds=self.max_seconds,
             round_iterations=self.round_iterations,
             on_round=on_round,
@@ -174,11 +164,9 @@ def solve_constraints_portfolio(
     system,
     max_cs=4,
     workers=3,
-    max_iterations=100000,
     max_seconds=None,
     round_iterations=2000,
     faults=None,
-    poll_interval=0.05,
 ):
     """Race the portfolio; returns an :class:`SmtResult` whose
     ``portfolio`` dict carries the :class:`PortfolioStats` counters.
@@ -193,7 +181,6 @@ def solve_constraints_portfolio(
             system,
             max_cs=max_cs,
             incremental=True,
-            max_iterations=max_iterations,
             max_seconds=max_seconds,
             round_iterations=round_iterations,
         )
@@ -208,7 +195,6 @@ def solve_constraints_portfolio(
     job = _PortfolioJob(
         system,
         max_cs=max_cs,
-        max_iterations=max_iterations,
         max_seconds=max_seconds,
         round_iterations=round_iterations,
     )
@@ -227,9 +213,7 @@ def solve_constraints_portfolio(
             spec["faults"] = task_faults
         specs.append(spec)
 
-    pool = WorkerPool(
-        job, jobs=workers, poll_interval=poll_interval, channel=True
-    )
+    pool = WorkerPool(job, jobs=workers, channel=True)
 
     # Verdict state.  ``resolved`` holds rungs settled without an
     # acceptable find; ``proven`` the subset settled by exhaustion proof

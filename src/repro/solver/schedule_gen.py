@@ -37,11 +37,6 @@ refinements over the paper's description (documented in DESIGN.md):
 
 What stays here is the search itself: the per-thread ready sets, the
 signal wake choices and the segment-budget charging.
-
-The CSP triple (t1, k, t2) — "t1's open segment is first interleaved by
-``t2`` popping its k-th SAP" — is the *parallel partitioning key*: giving
-each worker a distinct first-interleaving triple partitions the bounded
-search space like the paper's per-CSP-set processes.
 """
 
 import random
@@ -58,21 +53,18 @@ class _GenState:
         "model",
         "ready",
         "indeg",
-        "popped_count",
         "schedule",
         "current",
         "seg_counts",
         "open_segment",
         "marked",
         "interleaved",
-        "first_mark",
     )
 
     def __init__(self, model, ready, indeg, threads):
         self.model = model  # memory, locks, condvars and done SAPs
         self.ready = ready  # thread -> set of that thread's ready uids
         self.indeg = indeg  # uid -> remaining in-degree (within its thread)
-        self.popped_count = {t: 0 for t in threads}  # thread -> SAPs popped
         self.schedule = []
         self.current = "1"
         # Segment bookkeeping.
@@ -81,21 +73,18 @@ class _GenState:
         # thread -> charged seg ids; frozen, so clones can share them.
         self.marked = {t: frozenset() for t in threads}
         self.interleaved = 0
-        self.first_mark = None  # (t1, k, t2) of the first charging event
 
     def clone(self):
         other = _GenState.__new__(_GenState)
         other.model = self.model.clone()
         other.ready = {t: set(s) for t, s in self.ready.items()}
         other.indeg = dict(self.indeg)
-        other.popped_count = dict(self.popped_count)
         other.schedule = list(self.schedule)
         other.current = self.current
         other.seg_counts = dict(self.seg_counts)
         other.open_segment = dict(self.open_segment)
         other.marked = dict(self.marked)
         other.interleaved = self.interleaved
-        other.first_mark = self.first_mark
         return other
 
 
@@ -143,8 +132,6 @@ class ScheduleGenerator:
                 continue
             state.marked[other] = state.marked[other] | {seg_id}
             state.interleaved += 1
-            if state.first_mark is None:
-                state.first_mark = (other, state.popped_count[thread] + 1, thread)
             if state.interleaved > budget:
                 return False
         return True
@@ -159,7 +146,6 @@ class ScheduleGenerator:
         state.current = thread
         state.ready[thread].discard(uid)
         state.schedule.append(uid)
-        state.popped_count[thread] += 1
         for nxt in self.succ[uid]:
             state.indeg[nxt] -= 1
             if state.indeg[nxt] == 0:
@@ -182,7 +168,6 @@ class ScheduleGenerator:
         self,
         max_preemptions=0,
         exact_preemptions=False,
-        first_preemption=None,
         max_schedules=None,
         max_steps=None,
         order_seed=None,
@@ -193,10 +178,7 @@ class ScheduleGenerator:
         ``exact_preemptions``): ``state.schedule`` and the final
         ``state.model``.
 
-        ``first_preemption`` — an optional triple (t1, k, t2) pinning the
-        first segment-interleaving event (t2's k-th pop charges t1's open
-        segment); used to partition the bounded search across parallel
-        workers.  ``max_steps`` bounds total pops across all branches.
+        ``max_steps`` bounds total pops across all branches.
         ``order_seed`` randomizes the exploration order at every node:
         distinct seeds give independent probes of the bounded space, which
         is how the parallel driver samples large traces.
@@ -244,9 +226,6 @@ class ScheduleGenerator:
                     if relock is None and (
                         not exact_preemptions
                         or state.interleaved == max_preemptions
-                    ) and (
-                        first_preemption is None
-                        or state.first_mark == first_preemption
                     ):
                         key = tuple(state.schedule)
                         if key not in seen:
@@ -299,16 +278,3 @@ class ScheduleGenerator:
                 choices.append((uid, None))
         return choices
 
-
-def csp_universe(system):
-    """All (t1, k, t2) first-interleaving keys (the CSP universe)."""
-    threads = sorted(system.summaries)
-    universe = []
-    for t1 in threads:
-        for t2 in threads:
-            if t2 == t1:
-                continue
-            n = len(system.summaries[t2].saps)
-            for k in range(1, n + 1):
-                universe.append((t1, k, t2))
-    return universe

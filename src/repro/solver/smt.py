@@ -63,6 +63,10 @@ from repro.solver.cdcl import CDCLSolver, SAT, UNSAT
 from repro.solver.order import OrderTheory
 from repro.solver.validate import ScheduleValidator, StepModel
 
+# Models the CEGAR loop may examine per solve before giving up with
+# "iteration limit".
+MAX_ITERATIONS = 100_000
+
 
 @dataclass
 class SmtResult:
@@ -797,7 +801,7 @@ class ClapSmtSolver:
             if verdict is not False:
                 return SAT if verdict else None
 
-    def solve(self, max_iterations=100000, max_seconds=None, _start=None):
+    def solve(self, max_seconds=None, _start=None):
         start = time.monotonic() if _start is None else _start
         iterations = 0
         found = None
@@ -809,7 +813,7 @@ class ClapSmtSolver:
             if max_seconds is not None and time.monotonic() - start > max_seconds:
                 stop = "timeout"
                 return None
-            if iterations > max_iterations:
+            if iterations > MAX_ITERATIONS:
                 stop = "iteration limit"
                 return None
             found, stop = self._try_model()
@@ -840,7 +844,7 @@ class ClapSmtSolver:
         self,
         max_cs,
         min_bound=0,
-        max_iterations=100000,
+        max_iterations=MAX_ITERATIONS,
         max_seconds=None,
         round_iterations=2000,
         on_round=None,
@@ -1018,7 +1022,7 @@ class ClapSmtSolver:
         ]
 
 
-def solve_constraints(system, max_iterations=100000, max_seconds=None, sat_factory=None):
+def solve_constraints(system, max_seconds=None, sat_factory=None):
     """Solve a ConstraintSystem; returns an :class:`SmtResult`.
 
     ``solve_time`` covers formula construction (CNF build, transitive
@@ -1028,9 +1032,7 @@ def solve_constraints(system, max_iterations=100000, max_seconds=None, sat_facto
         solver = ClapSmtSolver(system, sat_factory=sat_factory)
     except ValueError as exc:
         return SmtResult(False, reason=str(exc), solve_time=time.monotonic() - start)
-    return solver.solve(
-        max_iterations=max_iterations, max_seconds=max_seconds, _start=start
-    )
+    return solver.solve(max_seconds=max_seconds, _start=start)
 
 
 def solve_constraints_bounded(
@@ -1038,10 +1040,8 @@ def solve_constraints_bounded(
     max_cs=4,
     incremental=True,
     sat_factory=None,
-    max_iterations=100000,
     max_seconds=None,
     round_iterations=2000,
-    on_round=None,
 ):
     """Minimal-context-switch search with increasing bound rounds.
 
@@ -1064,10 +1064,8 @@ def solve_constraints_bounded(
             )
         return solver.solve_bounded(
             max_cs,
-            max_iterations=max_iterations,
             max_seconds=max_seconds,
             round_iterations=round_iterations,
-            on_round=on_round,
             _start=start,
         )
     iterations = 0
@@ -1095,7 +1093,7 @@ def solve_constraints_bounded(
         result = solver.solve_bounded(
             c,
             min_bound=c,
-            max_iterations=max_iterations - iterations,
+            max_iterations=MAX_ITERATIONS - iterations,
             max_seconds=remaining,
             round_iterations=round_iterations,
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ClapConfig, ClapPipeline, reproduce_bug
 from repro.core.clap import ClapError
+from repro.solver.smt import solve_constraints_bounded
 
 from tests.conftest import LOCKED_SRC, MP_SRC, RACE_SRC, SB_SRC
 
@@ -84,3 +85,27 @@ def test_unknown_solver_rejected():
     pipe = ClapPipeline(RACE_SRC, ClapConfig(solver="magic", stickiness=0.3))
     with pytest.raises(ClapError):
         pipe.reproduce()
+
+
+def _race_solve(**config):
+    """(pipeline, recorded run, its constraint system, solver result)."""
+    pipe = ClapPipeline(RACE_SRC, ClapConfig(stickiness=0.3, **config))
+    recorded = pipe.record()
+    system = pipe.analyze(recorded)
+    return pipe, recorded, system, pipe.solve(system)
+
+
+def test_smt_inc_with_workers_races_the_ladder():
+    pipe, recorded, _system, result = _race_solve(solver="smt-inc", workers=2)
+    assert result.ok
+    assert result.portfolio["workers"] == 2
+    assert pipe.replay(result.schedule, recorded.bug).reproduced
+
+
+def test_smt_inc_in_process_matches_the_bound_ladder():
+    pipe, _recorded, system, result = _race_solve(solver="smt-inc", workers=0)
+    ladder = solve_constraints_bounded(system, max_cs=pipe.config.max_cs)
+    assert result.ok and ladder.ok
+    assert result.schedule == ladder.schedule
+    assert result.bound == ladder.bound
+    assert result.iterations == ladder.iterations

@@ -1,7 +1,10 @@
 """Batch engine end to end: corpus in, JSONL + aggregate table out."""
 
+import argparse
+
 import pytest
 
+from repro.cli import build_parser
 from repro.core.clap import ClapConfig
 from repro.service import (
     STATUS_REPRODUCED,
@@ -124,3 +127,36 @@ def test_unknown_entry_fails_not_crashes(corpus_root):
     )
     assert outcome["status"] == "failed"
     assert "nope" in outcome["reason"]
+
+
+def _declared_solvers(*command):
+    """The ``--solver`` choices the CLI declares for ``repro <command>``."""
+    parser = build_parser()
+    for name in command:
+        subparsers = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        parser = subparsers.choices[name]
+    return next(
+        action.choices for action in parser._actions if action.dest == "solver"
+    )
+
+
+def test_every_declared_solver_reproduces_in_a_batch_job(tmp_path):
+    # Batch and fleet jobs run in daemonic pool workers, which may not
+    # fork: every solver the CLI offers there must solve in-process.
+    root = str(tmp_path / "corpus")
+    Corpus.create(root).add(
+        RACE_SRC, name="race", config=ClapConfig(stickiness=0.3)
+    )
+    solvers = set(_declared_solvers("batch")) | set(
+        _declared_solvers("fleet", "drain")
+    )
+    for solver in sorted(solvers):
+        results, _aggregate = run_batch(root, jobs=1, solver=solver)
+        assert [r.status for r in results] == [STATUS_REPRODUCED], (
+            solver,
+            results[0].reason,
+        )

@@ -1,4 +1,5 @@
-"""Differential battery: the ``smt-portfolio`` race vs ``smt-inc``.
+"""Differential battery: the ``smt-inc --workers N`` race vs the
+in-process ``smt-inc`` ladder.
 
 The portfolio races a sequential replica of the bound ladder against
 genval probes pinned to single rungs.  The race may not change
@@ -15,7 +16,7 @@ genval probes pinned to single rungs.  The race may not change
   schedule space, and the validator certifies the lower count);
 * the returned schedule replays the bug through the independent
   :class:`~repro.solver.validate.ScheduleValidator`;
-* ``portfolio_workers=1`` degenerates to the sequential loop in the
+* ``workers=1`` degenerates to the sequential loop in the
   same process and must be bit-identical to it, run after run.
 """
 
@@ -155,7 +156,7 @@ def test_fuzzed_programs_portfolio_matches_sequential(trial):
 
 
 def test_single_worker_is_bit_identical_to_sequential():
-    # ``portfolio_workers=1`` must not fork at all: same process, same
+    # ``workers=1`` must not fork at all: same process, same
     # solver, bit-identical outcome — the determinism anchor.
     system = table1_system("pbzip2")
     sequential = solve_constraints_bounded(

@@ -5,7 +5,7 @@ import pytest
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.runtime.replay import replay_schedule
 from repro.constraints.context_switch import count_context_switches
-from repro.solver.schedule_gen import ScheduleGenerator, csp_universe
+from repro.solver.schedule_gen import ScheduleGenerator
 from repro.solver.validate import ScheduleValidator
 
 from tests.conftest import CONDVAR_SRC, RACE_SRC
@@ -90,14 +90,6 @@ def test_max_steps_budget(race_system):
     )
     # The step budget cuts the search off early.
     assert bounded < unbounded
-
-
-def test_csp_universe_shape(race_system):
-    universe = csp_universe(race_system)
-    threads = sorted(race_system.summaries)
-    for (t1, k, t2) in universe:
-        assert t1 in threads and t2 in threads and t1 != t2
-        assert 1 <= k <= len(race_system.summaries[t2].saps)
 
 
 def condvar_system():
