@@ -6,8 +6,7 @@ accesses can actually *race* — the paper offloads that to Locksmith and
 only encodes order constraints for the remainder.  This package is our
 version of the second half, operating on MiniLang bytecode CFGs.  It
 drives ``repro analyze`` and ``repro explore``; the constraint encoder
-prunes Frw from the recorded hard edges alone (``repro.constraints.hb``)
-and does not consume it:
+does not consume it:
 
 ``sites``
     Extraction of global-access and synchronization sites from the CFGs.

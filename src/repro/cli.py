@@ -137,7 +137,6 @@ def _report_payload(report):
         "n_saps": report.n_saps,
         "n_constraints": report.n_constraints,
         "n_variables": report.n_variables,
-        "n_pruned_choice_vars": report.n_pruned_choice_vars,
         "n_pruned_clauses": report.n_pruned_clauses,
         "context_switches": report.context_switches,
         "profile": dict(
@@ -145,6 +144,7 @@ def _report_payload(report):
             + [("cache", report.cache_state)]
         ),
         "cache_stats": report.cache_stats,
+        "sat_stats": report.solver_detail.get("sat_stats", {}),
         "schedule": ["%s#%d" % uid for uid in report.schedule],
     }
     if report.recorder_metrics:
@@ -179,10 +179,7 @@ def cmd_reproduce(args):
     print("SAPs         :", report.n_saps)
     print("constraints  :", report.n_constraints)
     print("variables    :", report.n_variables)
-    print(
-        "pruned       : %d choice vars, %d clauses (hb closure)"
-        % (report.n_pruned_choice_vars, report.n_pruned_clauses)
-    )
+    print("pruned       : %d clauses (fixed order)" % report.n_pruned_clauses)
     print("solve time   : %.2fs (%s)" % (report.time_solve, report.solver))
     if args.profile:
         print("profile:")
@@ -222,12 +219,13 @@ def cmd_reproduce(args):
     if sat:
         print(
             "sat core     : %d solve calls, %d propagations, %d conflicts"
-            " (%d order), %d restarts, %d learned, %d reuse hits"
+            " (%d theory), %d lemmas, %d restarts, %d learned, %d reuse hits"
             % (
                 sat.get("solve_calls", 0),
                 sat.get("propagations", 0),
                 sat.get("conflicts", 0),
                 sat.get("theory_conflicts", 0),
+                sat.get("lemmas", 0),
                 sat.get("restarts", 0),
                 sat.get("learned", 0),
                 sat.get("reuse_hits", 0),

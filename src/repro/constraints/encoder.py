@@ -1,7 +1,6 @@
 """Top-level constraint encoder: F = Fpath ∧ Fbug ∧ Fso ∧ Frw ∧ Fmo."""
 
 from repro.analysis.symbolic import free_syms
-from repro.constraints.hb import HBClosure, HBPruner
 from repro.constraints.memory_order import encode_memory_order
 from repro.constraints.model import AtMostOne, ConstraintSystem, OLt
 from repro.constraints.rw import encode_read_write
@@ -90,7 +89,6 @@ def encode(
     shared,
     preexisting=frozenset(),
     preexited=frozenset(),
-    hb=True,
 ):
     """Encode one recorded execution into a :class:`ConstraintSystem`.
 
@@ -107,13 +105,9 @@ def encode(
         checkpoint, when encoding a checkpointed suffix (the initial
         values should then come from the snapshot — the caller overwrites
         ``system.initial_values`` accordingly).
-    hb : bool
-        When True (the default), compute the happens-before closure of
-        the hard edges once and prune Frw with it unconditionally — the
-        closure decides candidates and clauses that are fixed in every
-        model, so the result is equisatisfiable with the raw encoding.
-        ``hb=False`` produces the raw, completely unpruned Frw (used by
-        the differential tests and the old-vs-new benchmarks).
+
+    Frw's no-middle clauses are left to the solver, which generates them
+    lazily from ``system.rf_candidates`` (see :mod:`repro.constraints.rw`).
 
     Flight-recorder logs get an eviction-horizon relaxation (a no-op on
     complete logs): path conditions whose branches fall inside a
@@ -180,19 +174,12 @@ def encode(
     system.at_most_one.extend(so_amo)
     system.sw_candidates = sw_candidates
 
-    # Frw — pruned with the happens-before closure of the hard edges
-    # accumulated above (Fmo and Fso must be encoded first; the pruner's
-    # soundness argument depends on it).
-    closure = None
-    pruner = None
-    if hb:
-        closure = HBClosure(list(system.saps), system.hard_edges)
-        pruner = HBPruner(closure)
-    rw_clauses, rw_eo, rf_candidates = encode_read_write(summaries, pruner=pruner)
+    # Frw.
+    rw_clauses, rw_eo, rf_candidates = encode_read_write(summaries)
     system.clauses.extend(rw_clauses)
     if any_synth:
         # Eviction-horizon relaxation: a synthesized read must still pick
-        # at most one coherent source (the rf-before/rf-nomid clauses keep
+        # at most one coherent source (the rf-before/no-middle clauses keep
         # applying to whichever choice is made), but it is not *forced* to
         # pick one unless some retained expression could consult its value
         # — in that case leaving it unresolved would make the value theory
@@ -217,9 +204,6 @@ def encode(
         rw_eo = kept
     system.exactly_one.extend(rw_eo)
     system.rf_candidates = rf_candidates
-    system.hb_closure = closure
-    if pruner is not None:
-        system.prune_stats = pruner.stats
     if any_synth:
         system.horizon_stats = horizon
 

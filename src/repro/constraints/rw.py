@@ -13,6 +13,11 @@ them (a read can never return a same-thread write that program-order
 follows it, under any of SC/TSO/PSO — R->W order is preserved by all
 three).  The worst-case size is 4·Nr·Nw², cubic in the number of SAPs,
 which is the paper's complexity analysis.
+
+The no-middle clauses — the ``Nw²`` factor — are not built here: they
+are a function of ``rf_candidates`` alone, and the SMT solver generates
+them lazily (:mod:`repro.solver.frw`).  :func:`no_middle_count` gives
+their number for the statistics.
 """
 
 from repro.constraints.model import (
@@ -26,14 +31,19 @@ from repro.constraints.model import (
 )
 
 
-def encode_read_write(summaries, pruner=None):
-    """Build Frw.  Returns (clauses, exactly_one, rf_candidates).
+def no_middle_count(rf_candidates):
+    """Frw's no-middle clauses: ``k·(k−1)`` per read with ``k`` write
+    candidates, one per (chosen write, other write) pair."""
+    total = 0
+    for sources in rf_candidates.values():
+        k = len(sources) - (INIT in sources)
+        total += k * (k - 1)
+    return total
 
-    ``pruner``, when given (the encoder's always-on
-    :class:`repro.constraints.hb.HBPruner`), drops reads-from candidates
-    and clauses the hard-edge must-order proves impossible or redundant;
-    the result is equisatisfiable with the unpruned encoding.
-    """
+
+def encode_read_write(summaries):
+    """Build Frw without its no-middle clauses.  Returns (clauses,
+    exactly_one, rf_candidates)."""
     clauses = []
     exactly_one = []
     rf_candidates = {}
@@ -55,56 +65,25 @@ def encode_read_write(summaries, pruner=None):
                 for w in writes
                 if not (w.thread == read.thread and w.index > read.index)
             ]
-            include_init = True
-            if pruner is not None:
-                candidates, include_init = pruner.filter_candidates(
-                    read, candidates
-                )
-            sources = [w.uid for w in candidates]
-            if include_init:
-                sources.append(INIT)
-            rf_candidates[read.uid] = sources
+            rf_candidates[read.uid] = [w.uid for w in candidates] + [INIT]
             lits = []
             for w in candidates:
                 choice = RFChoice(read.uid, w.uid)
                 lits.append(Lit(choice))
-                if pruner is None or not pruner.before_clause_redundant(read, w):
-                    clauses.append(
-                        Clause(
-                            [Lit(choice, False), Lit(OLt(w.uid, read.uid))],
-                            origin="rf-before",
-                        )
+                clauses.append(
+                    Clause(
+                        [Lit(choice, False), Lit(OLt(w.uid, read.uid))],
+                        origin="rf-before",
                     )
-                for other in candidates:
-                    if other is w:
-                        continue
-                    if pruner is not None and pruner.nomid_clause_redundant(
-                        read, w, other
-                    ):
-                        continue
-                    clauses.append(
-                        Clause(
-                            [
-                                Lit(choice, False),
-                                Lit(OLt(other.uid, w.uid)),
-                                Lit(OLt(read.uid, other.uid)),
-                            ],
-                            origin="rf-nomid",
-                        )
+                )
+            init_choice = RFChoice(read.uid, INIT)
+            lits.append(Lit(init_choice))
+            for w in candidates:
+                clauses.append(
+                    Clause(
+                        [Lit(init_choice, False), Lit(OLt(read.uid, w.uid))],
+                        origin="rf-init",
                     )
-            if include_init:
-                init_choice = RFChoice(read.uid, INIT)
-                lits.append(Lit(init_choice))
-                for w in candidates:
-                    if pruner is not None and pruner.init_clause_redundant(
-                        read, w
-                    ):
-                        continue
-                    clauses.append(
-                        Clause(
-                            [Lit(init_choice, False), Lit(OLt(read.uid, w.uid))],
-                            origin="rf-init",
-                        )
-                    )
+                )
             exactly_one.append(ExactlyOne(lits, origin="rf-one"))
     return clauses, exactly_one, rf_candidates

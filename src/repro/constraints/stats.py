@@ -5,6 +5,7 @@ reports (propagations, conflicts, restarts, learned-clause reuse)."""
 from dataclasses import asdict, dataclass, replace
 
 from repro.analysis.symbolic import expr_size
+from repro.constraints.rw import no_middle_count
 
 
 @dataclass
@@ -17,7 +18,10 @@ class SolverPhaseStats:
     *earlier* ``solve()`` call) directly measures how much work the
     assumption-reuse path saved versus re-encoding per round.
     ``theory_conflicts`` counts the conflicts (already in ``conflicts``)
-    that an in-search theory raised: order cycles caught mid-search.
+    that an in-search theory raised: order cycles and falsified Frw
+    clauses caught mid-search.  ``lemmas`` counts the theory clauses that
+    entered the core unit and propagated their last literal: the Frw
+    clauses the search needed, out of the many it kept virtual.
     """
 
     solve_calls: int = 0
@@ -29,6 +33,7 @@ class SolverPhaseStats:
     learned_literals: int = 0
     reuse_hits: int = 0
     theory_conflicts: int = 0
+    lemmas: int = 0
 
     def as_dict(self):
         return asdict(self)
@@ -119,10 +124,6 @@ class ConstraintStats:
     n_clause_lits: int = 0
     n_path_conditions: int = 0
     n_path_condition_nodes: int = 0
-    # Frw prune accounting of the always-on happens-before layer,
-    # relative to the raw (hb=False) encoding.
-    n_pruned_choice_vars: int = 0
-    n_pruned_clauses: int = 0
 
     @property
     def n_constraints(self):
@@ -149,14 +150,13 @@ def compute_stats(system):
         + [c for c in system.exactly_one]
         + [c for c in system.at_most_one]
     )
-    stats.n_clauses = len(groups)
-    stats.n_clause_lits = sum(len(c.lits) for c in groups)
+    # Frw's no-middle clauses belong to F even though the solver builds
+    # them lazily: counted, three literals each, not materialized.
+    no_middle = no_middle_count(system.rf_candidates)
+    stats.n_clauses = len(groups) + no_middle
+    stats.n_clause_lits = sum(len(c.lits) for c in groups) + 3 * no_middle
     stats.n_path_conditions = len(system.conditions) + len(system.bug_exprs)
     stats.n_path_condition_nodes = sum(
         expr_size(c.expr) for c in system.conditions
     ) + sum(expr_size(e) for e in system.bug_exprs)
-    prune = getattr(system, "prune_stats", None)
-    if prune is not None:
-        stats.n_pruned_choice_vars = prune.choice_vars_pruned
-        stats.n_pruned_clauses = prune.clauses_pruned
     return stats

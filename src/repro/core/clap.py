@@ -138,7 +138,9 @@ class ClapReport:
     n_saps: int = 0
     n_constraints: int = 0
     n_variables: int = 0
-    n_pruned_choice_vars: int = 0
+    # F's clauses the SMT solver's fixed-order closure satisfied at build
+    # (0 for genval, which builds no clauses, and for a raced smt-inc
+    # whose ladder worker did not finish).
     n_pruned_clauses: int = 0
     context_switches: int = -1
     time_record: float = 0.0
@@ -542,12 +544,11 @@ class ClapPipeline:
         report.n_saps = stats.n_saps
         report.n_constraints = stats.n_constraints
         report.n_variables = stats.n_variables
-        report.n_pruned_choice_vars = stats.n_pruned_choice_vars
-        report.n_pruned_clauses = stats.n_pruned_clauses
 
         t0 = time.monotonic()
         solved = self.solve(system)
         report.time_solve = time.monotonic() - t0
+        report.n_pruned_clauses = getattr(solved, "decided_clauses", 0)
         if not solved.ok:
             report.failure_reason = "solver: " + solved.reason
             return report

@@ -12,9 +12,12 @@ tuned for the offline phase's re-solve-per-preemption-bound loop:
 * phase saving,
 * an optional in-search theory (:meth:`CDCLSolver.attach_theory`): after
   every unit-propagation fixpoint the theory sees the newly assigned
-  literals and may answer with a conflict clause, which is analysed and
-  learned like a propagation conflict — the order theory
-  (:mod:`repro.solver.order`) runs here,
+  literals and may answer with a clause.  The clause joins the clause
+  database for good; when one of its literals is still unassigned it is
+  a lemma that propagates that literal, otherwise it is a conflict,
+  analysed and learned like a propagation conflict — the lazy Frw
+  clauses (:mod:`repro.solver.frw`) and the order theory
+  (:mod:`repro.solver.order`) run here,
 * an assumption interface — ``solve(assumptions=[...])`` searches under
   temporary unit hypotheses without committing them, which is what lets
   the bound loop retract "needs more than c switches" blocking clauses
@@ -169,8 +172,9 @@ class CDCLSolver:
         """Check ``theory`` inside the search.
 
         ``theory.assign(trail, start)`` asserts ``trail[start:]`` and
-        returns ``(conflict, stop)``: a clause false under the trail (or
-        ``None``) and the trail position consumed up to.
+        returns ``(clause, stop)``: ``None``, or a clause whose literals
+        are all false under the trail but at most one unassigned one, and
+        the trail position consumed up to.
         ``theory.backtrack(trail_len)`` retracts everything asserted at
         trail positions ``>= trail_len``.  ``theory.phase(var, saved)``
         picks the polarity of a decision on ``var`` (``saved`` is the
@@ -451,6 +455,9 @@ class CDCLSolver:
                     self.trail, self.theory_head
                 )
                 if conflict is not None:
+                    conflict = self._theory_clause(conflict)
+                    if conflict is None:
+                        continue  # a lemma: propagate its literal
                     self.stats.theory_conflicts += 1
             if conflict is None:
                 # Re-establish assumption levels 1..n, then decide.
@@ -534,6 +541,32 @@ class CDCLSolver:
                 restart_limit = _RESTART_BASE * luby(restart_number)
                 self.stats.restarts += 1
                 self._backtrack(0)
+
+    def _theory_clause(self, lits):
+        """Attach a clause a theory returned and classify it.
+
+        Ordered for the watches — the unassigned literal first, then the
+        false ones from the highest level down — it stays in the clause
+        database for good.  With an unassigned literal it is a lemma:
+        that literal is enqueued with the clause as its reason and None
+        is returned.  Otherwise it is returned as the conflict.  A lemma
+        has two literals or more; a one-literal conflict is not attached
+        (analysis learns it as a unit)."""
+        assign, level = self.assign, self.level
+        top = len(self.trail_lim) + 1
+        lits = sorted(
+            lits,
+            key=lambda lit: top if assign[abs(lit)] is None else level[abs(lit)],
+            reverse=True,
+        )
+        if len(lits) < 2:
+            return lits
+        index = self._attach(lits, learned=False)
+        if assign[abs(lits[0])] is not None:
+            return lits
+        self.stats.lemmas += 1
+        self._enqueue(lits[0], index)
+        return None
 
     def _refine(self, refinements):
         """Add the clauses a final check refuted a full assignment with.

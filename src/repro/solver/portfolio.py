@@ -156,6 +156,7 @@ class _PortfolioJob:
             "bound": result.bound,
             "round_stats": list(result.round_stats),
             "sat_stats": dict(result.sat_stats),
+            "decided_clauses": result.decided_clauses,
             "wall": time.monotonic() - start,
         }
 
@@ -289,6 +290,7 @@ def solve_constraints_portfolio(
     seq_done = seq_payload.get("status") == "done"
     iterations = seq_payload.get("iterations", 0)
     sat_stats = merge_sat_stats([seq_payload.get("sat_stats")])
+    decided = seq_payload.get("decided_clauses", 0)
 
     stats = PortfolioStats(
         workers=min(workers, len(specs)),
@@ -340,6 +342,7 @@ def solve_constraints_portfolio(
             bound=best["cs"],
             round_stats=round_stats,
             sat_stats=sat_stats,
+            decided_clauses=decided,
         )
         result.portfolio = stats.as_dict()
         return result
@@ -352,6 +355,7 @@ def solve_constraints_portfolio(
             solve_time=wall,
             round_stats=list(seq_payload["round_stats"]),
             sat_stats=sat_stats,
+            decided_clauses=decided,
         )
     else:
         result = SmtResult(
@@ -361,6 +365,7 @@ def solve_constraints_portfolio(
             iterations=iterations,
             solve_time=wall,
             sat_stats=sat_stats,
+            decided_clauses=decided,
         )
     result.portfolio = stats.as_dict()
     return result

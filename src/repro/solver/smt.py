@@ -9,6 +9,13 @@ Boolean skeleton (CDCL)
     SAPs, ``¬(O_a < O_b) ≡ O_b < O_a`` — one SAT variable serves both
     directions.
 
+Frw theory (lazy)
+    Frw's no-middle clauses and the pairwise exclusions of large choice
+    groups are enumerated at build but kept virtual
+    (:class:`~repro.solver.frw.FrwTheory`): one enters the SAT core only
+    when it propagates or conflicts.  The frozen reference core gets them
+    all up front.
+
 Order theory
     The fixed edges (Fmo + fixed Fso) form a DAG whose transitive closure
     is precomputed; order atoms implied either way become unit clauses up
@@ -60,6 +67,7 @@ from repro.analysis.symbolic import sym_eval
 from repro.constraints.context_switch import count_context_switches
 from repro.constraints.model import INIT, OLt, RFChoice, SWChoice
 from repro.solver.cdcl import CDCLSolver, SAT, UNSAT
+from repro.solver.frw import FrwTheory
 from repro.solver.order import OrderTheory
 from repro.solver.validate import ScheduleValidator, StepModel
 
@@ -84,6 +92,9 @@ class SmtResult:
     bound: int = -1
     round_stats: list = field(default_factory=list)
     sat_stats: dict = field(default_factory=dict)
+    # How many of F's clauses the fixed-order closure satisfied when the
+    # solver loaded the system (they never reach the SAT core).
+    decided_clauses: int = 0
     # Portfolio extras (solve_constraints_portfolio only): the
     # PortfolioStats counters as a dict — winner identity, resolved
     # rungs, cancellations.
@@ -214,30 +225,25 @@ class ClapSmtSolver:
         self.var_atom = {}  # sat var -> atom (only vars actually used)
         uids = list(system.saps)
         self.fixed_edges = [(e.a, e.b) for e in system.hard_edges]
-        # The encoder's happens-before closure already is the transitive
-        # closure of the fixed edges; adopt it instead of rebuilding one.
-        # A cyclic closure (inconsistent recording) or a system encoded
-        # without one (hb=False) falls back to the bitset pass, which
-        # raises ValueError on cycles — the unsat signal callers expect.
-        closure = getattr(system, "hb_closure", None)
-        if (
-            closure is not None
-            and not closure.cyclic
-            and closure.n_nodes == len(uids)
-        ):
-            self.reach = closure
-        else:
-            self.reach = _Reachability(uids, self.fixed_edges)
+        # Raises ValueError on a cyclic recording: the unsat signal
+        # callers expect.
+        self.reach = _Reachability(uids, self.fixed_edges)
         self._sym_to_read = {}
         for summary in system.summaries.values():
             for name, sap in summary.reads.items():
                 self._sym_to_read[name] = sap
-        # A core that can check a theory inside its search gets the order
-        # theory; atoms register with it as ``_order_lit`` creates them.
+        # A core that can check a theory inside its search gets the lazy
+        # Frw clauses in front of the order theory; order atoms register
+        # with the latter as ``_order`` creates them.
         self.order = None
+        self.frw = None
         if hasattr(self.sat, "attach_theory"):
             self.order = self._order_theory(uids)
-            self.sat.attach_theory(self.order)
+            self.frw = FrwTheory(self.sat.assign, self.order)
+            self.sat.attach_theory(self.frw)
+        self._olits = {}  # (a, b) -> _order(a, b)
+        # F's clauses the fixed-order closure satisfies at build.
+        self.decided_clauses = 0
         self._build()
 
     def _order_theory(self, uids):
@@ -261,7 +267,16 @@ class ClapSmtSolver:
     def _order_lit(self, atom):
         """SAT literal for an OLt atom, using fixed-order implications.
         Returns +/-var, or True/False when the closure decides it."""
-        a, b = atom.a, atom.b
+        return self._order(atom.a, atom.b)
+
+    def _order(self, a, b):
+        """``_order_lit`` of ``O_a < O_b``, computed once per pair."""
+        lit = self._olits.get((a, b))
+        if lit is None:
+            lit = self._olits[(a, b)] = self._order_uncached(a, b)
+        return lit
+
+    def _order_uncached(self, a, b):
         if a == b:
             return False
         if self.reach.reaches(a, b):
@@ -309,6 +324,7 @@ class ClapSmtSolver:
         for lit in lits:
             value = self._lit(lit)
             if value is True:
+                self.decided_clauses += 1
                 return
             if value is False:
                 continue
@@ -316,24 +332,67 @@ class ClapSmtSolver:
         self.sat.add_clause(out)
 
     def _build(self):
+        """Load F into the SAT core.
+
+        The encoder's clauses go in as they are.  The pairwise exclusions
+        of a choice group with more than two literals and Frw's no-middle
+        clauses go to the lazy Frw theory instead, when the core has one;
+        a core without a theory hook gets them all up front."""
         system = self.system
-        from repro.constraints.model import Lit
+        lazy = self.frw.add if self.frw is not None else self.sat.add_clause
 
         for clause in system.clauses:
             self._add_clause(clause.lits)
         for group in system.exactly_one:
             self._add_clause(group.lits)
-            lits = [self._lit(l) for l in group.lits]
-            concrete = [l for l in lits if l is not True and l is not False]
-            for i in range(len(concrete)):
-                for j in range(i + 1, len(concrete)):
-                    self.sat.add_clause([-concrete[i], -concrete[j]])
+            self._exclude(group.lits, lazy)
         for group in system.at_most_one:
-            lits = [self._lit(l) for l in group.lits]
-            concrete = [l for l in lits if l is not True and l is not False]
-            for i in range(len(concrete)):
-                for j in range(i + 1, len(concrete)):
-                    self.sat.add_clause([-concrete[i], -concrete[j]])
+            self._exclude(group.lits, lazy)
+        self._no_middle(lazy)
+
+    def _exclude(self, group, lazy):
+        """At most one of ``group``: pairwise clauses, lazy beyond a pair."""
+        lits = [self._lit(l) for l in group]
+        concrete = [l for l in lits if l is not True and l is not False]
+        sink = lazy if len(concrete) > 2 else self.sat.add_clause
+        for i in range(len(concrete)):
+            for j in range(i + 1, len(concrete)):
+                sink([-concrete[i], -concrete[j]])
+
+    def _no_middle(self, sink):
+        """Frw's no-middle clauses ``¬rf(r, w) ∨ O_w' < O_w ∨ O_r < O_w'``
+        for each read ``r`` and pair of its write candidates ``w ≠ w'``.
+
+        A clause the fixed-order closure satisfies is dropped and counted
+        in ``decided_clauses``; one it reduces to ``¬rf(r, w)`` is added
+        as a unit; every other one goes to ``sink``."""
+        order, olits = self._order, self._olits
+        add_unit = self.sat.add_clause
+        decided = 0
+        for read, sources in self.system.rf_candidates.items():
+            writes = [source for source in sources if source != INIT]
+            if len(writes) < 2:
+                continue
+            after_read = [order(read, other) for other in writes]
+            for w in writes:
+                not_rf = -self._choice_lit(RFChoice(read, w))
+                for other, other_after in zip(writes, after_read):
+                    if other == w:
+                        continue
+                    other_before = olits.get((other, w))
+                    if other_before is None:
+                        other_before = order(other, w)
+                    if other_before is True or other_after is True:
+                        decided += 1
+                    elif other_before is False and other_after is False:
+                        add_unit([not_rf])
+                    elif other_before is False:
+                        sink([not_rf, other_after])
+                    elif other_after is False:
+                        sink([not_rf, other_before])
+                    else:
+                        sink([not_rf, other_before, other_after])
+        self.decided_clauses += decided
 
     # -- theory checks ---------------------------------------------------------
 
@@ -778,6 +837,7 @@ class ClapSmtSolver:
             iterations=iterations,
             solve_time=time.monotonic() - start,
             sat_stats=self._sat_stats(),
+            decided_clauses=self.decided_clauses,
             **extra,
         )
 
@@ -836,6 +896,7 @@ class ClapSmtSolver:
             iterations=iterations,
             solve_time=time.monotonic() - start,
             sat_stats=self._sat_stats(),
+            decided_clauses=self.decided_clauses,
         )
 
     # -- minimal-context-switch bound loop -----------------------------------
@@ -990,6 +1051,7 @@ class ClapSmtSolver:
                     bound=c,
                     round_stats=round_stats,
                     sat_stats=self._sat_stats(),
+                    decided_clauses=self.decided_clauses,
                 )
             if status == UNSAT and not exhausted:
                 return self._fail(

@@ -40,7 +40,11 @@ from repro.tracing.logfmt import encode_tokens
 #     reused for programs that now compile differently.
 # v4: the static Frw pruning layer is gone, so the key material lost its
 #     "prune" configuration and the stats snapshot its static counters.
-ANALYSIS_SCHEMA_VERSION = 4
+# v5: Frw's no-middle clauses left the encoding for the solver's lazy
+#     theory, and the happens-before pruner is gone with its two
+#     ConstraintSystem fields; a v4 system carries eager no-middle
+#     clauses and pruned reads-from candidates.
+ANALYSIS_SCHEMA_VERSION = 5
 
 
 class AnalysisCache:

@@ -1,9 +1,10 @@
 """Frw: reads-from candidates and no-intervening-write clauses."""
 
 from repro.analysis.symexec import SymSAP, ThreadSummary
-from repro.constraints.model import INIT, RFChoice
-from repro.constraints.rw import encode_read_write
+from repro.constraints.model import INIT, ConstraintSystem, Lit, OLt, RFChoice
+from repro.constraints.rw import encode_read_write, no_middle_count
 from repro.runtime import events as ev
+from repro.solver.smt import ClapSmtSolver
 
 
 def summary(thread, kinds_addrs):
@@ -50,15 +51,44 @@ def test_array_elements_are_distinct_addresses():
     assert rf[("1", 1)] == [INIT]
 
 
+def no_middle_clauses(summaries):
+    """The solver-side no-middle clauses of ``summaries``' Frw, decoded
+    back to atoms: ``[¬rf(r <- w), O_w' < O_w, O_r < O_w']`` each."""
+    clauses, eo, rf = encode_read_write(summaries)
+    system = ConstraintSystem(
+        memory_model="sc",
+        summaries=summaries,
+        clauses=clauses,
+        exactly_one=eo,
+        rf_candidates=rf,
+    )
+    for s in summaries.values():
+        for sap in s.saps:
+            system.saps[sap.uid] = sap
+    solver = ClapSmtSolver(system)
+    triples = []
+    solver._no_middle(triples.append)
+
+    def atom_lit(lit):
+        atom = solver.var_atom[abs(lit)]
+        if isinstance(atom, OLt):
+            return Lit(atom if lit > 0 else atom.negated())
+        return Lit(atom, lit > 0)
+
+    return [[atom_lit(lit) for lit in triple] for triple in triples], rf
+
+
 def test_no_intervening_write_clause_shape():
     t1 = summary("1", [(ev.READ, ("x",))])
     t2 = summary("2", [(ev.WRITE, ("x",)), (ev.WRITE, ("x",))])
-    clauses, _, _ = encode_read_write({"1": t1, "2": t2})
-    nomid = [c for c in clauses if c.origin == "rf-nomid"]
+    nomid, rf = no_middle_clauses({"1": t1, "2": t2})
     # For each of the 2 chosen writes, 1 other write -> 2 clauses.
-    assert len(nomid) == 2
-    for clause in nomid:
-        assert len(clause.lits) == 3  # !choice | other<w | r<other
+    assert len(nomid) == 2 == no_middle_count(rf)
+    r, w0, w1 = ("1", 0), ("2", 0), ("2", 1)
+    assert nomid == [
+        [Lit(RFChoice(r, w0), False), Lit(OLt(w1, w0)), Lit(OLt(r, w1))],
+        [Lit(RFChoice(r, w1), False), Lit(OLt(w0, w1)), Lit(OLt(r, w0))],
+    ]
 
 
 def test_init_choice_orders_read_before_all_writes():
@@ -70,10 +100,13 @@ def test_init_choice_orders_read_before_all_writes():
 
 
 def test_clause_count_matches_quadratic_bound():
-    # 1 read, n writes: 1 rf-before per write + (n-1) rf-nomid per write
-    # + n rf-init = n + n(n-1) + n clauses.
+    # 1 read, n writes: 1 rf-before per write + (n-1) no-middle per write
+    # + n rf-init = n + n(n-1) + n clauses.  The encoder builds the 2n
+    # linear ones; the solver enumerates the n(n-1) no-middle ones.
     n = 5
     t1 = summary("1", [(ev.READ, ("x",))])
     t2 = summary("2", [(ev.WRITE, ("x",))] * n)
     clauses, _, _ = encode_read_write({"1": t1, "2": t2})
-    assert len(clauses) == n + n * (n - 1) + n
+    assert len(clauses) == n + n
+    nomid, rf = no_middle_clauses({"1": t1, "2": t2})
+    assert len(nomid) == no_middle_count(rf) == n * (n - 1)

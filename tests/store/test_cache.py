@@ -88,6 +88,25 @@ def test_schema_version_mismatch_is_stale(tmp_path, recorded_race):
     assert cache.entry_paths()
 
 
+def test_v4_entry_is_a_miss(tmp_path, recorded_race):
+    """A v4 entry holds an eagerly built Frw (no-middle clauses included)
+    that the lazy solver would load on top of its own: it must not hit."""
+    pipeline, recorded = recorded_race
+    cache = AnalysisCache(str(tmp_path / "cache"))
+    analyze_with(pipeline, recorded, cache)
+    [path] = cache.entry_paths()
+    with open(path, "rb") as fh:
+        payload = pickle.loads(fh.read())
+    payload["schema"] = 4
+    with open(path, "wb") as fh:
+        fh.write(pickle.dumps(payload))
+
+    _, timings = analyze_with(pipeline, recorded, cache)
+    assert timings["cache"] == "miss"
+    assert cache.stats.stale == 1
+    assert cache.stats.hits == 0
+
+
 def test_unreadable_entry_is_stale(tmp_path, recorded_race):
     pipeline, recorded = recorded_race
     cache = AnalysisCache(str(tmp_path / "cache"))

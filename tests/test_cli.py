@@ -63,7 +63,7 @@ def test_reproduce_end_to_end(race_file, capsys):
     assert code == 0
     assert "reproduced   : True" in out
     assert "schedule" in out
-    assert "clauses (hb closure)\n" in out
+    assert "clauses (fixed order)\n" in out
 
 
 def test_reproduce_genval(race_file, capsys):
@@ -198,7 +198,8 @@ def test_reproduce_profile_output(race_file, capsys):
         assert phase in out
     assert "cache" in out
     assert "off" in out  # no cache attached on plain reproduce
-    assert "pruned" in out and "hb closure" in out
+    assert "pruned" in out and "fixed order" in out
+    assert "lemmas" in out
 
 
 def test_reproduce_json_output(race_file, capsys):
@@ -212,8 +213,11 @@ def test_reproduce_json_output(race_file, capsys):
     assert profile["cache"] == "off"
     for phase in ("record", "symexec", "encode", "solve", "replay"):
         assert profile[phase] >= 0.0
-    assert payload["n_pruned_choice_vars"] > 0
+    assert "n_pruned_choice_vars" not in payload
+    # The fork/join edges always decide some clauses at solver build.
     assert payload["n_pruned_clauses"] > 0
+    assert payload["sat_stats"]["lemmas"] >= 0
+    assert payload["sat_stats"]["solve_calls"] >= 1
     assert payload["schedule"]  # "thread#index" strings
     assert all("#" in step for step in payload["schedule"])
 

@@ -156,52 +156,38 @@ def test_every_ground_truth_schedule_replays(seed, model):
         assert outcome.result.final_globals == original.final_globals
 
 
-# -- HB pruning preserves the encoding's models ---------------------------
+# -- Lazy Frw preserves the encoding's models --------------------------
 
 _PRUNE_BENCHMARKS = ["sim_race", "swarm", "pfscan", "bbuf", "aget", "figure2"]
 
 
 @pytest.mark.parametrize("name", _PRUNE_BENCHMARKS)
 def test_hb_prune_preserves_satisfiability_and_reproduction(name):
-    """Property: for a seeded benchmark bug, the HB-pruned encoding is
-    satisfiable iff the raw (``hb=False``) one is, and its schedule still
-    reproduces the failure.  This is the gate behind the always-on
-    happens-before pruning staying sound."""
-    from repro.analysis.symexec import execute_recorded_paths
+    """Property: for a seeded benchmark bug, the system is satisfiable
+    with Frw's no-middle clauses generated lazily (the default core's
+    theory) iff it is with all of them built up front (the reference
+    core, which has no theory hook), and both schedules pass the
+    validator and replay the failure.  This is the gate behind the lazy
+    Frw theory staying sound.  (The name predates the theory: the same
+    gate once guarded the happens-before pruner it replaced.)"""
     from repro.bench.programs import get_benchmark
-    from repro.constraints.encoder import encode
-    from repro.constraints.stats import compute_stats
     from repro.core.clap import ClapConfig, ClapPipeline
+    from repro.solver.cdcl_reference import CDCLSolver as ReferenceCDCL
     from repro.solver.smt import solve_constraints
-    from repro.tracing.decoder import decode_log
+    from repro.solver.validate import ScheduleValidator
 
     bench = get_benchmark(name)
     program = bench.compile()
-    config = ClapConfig(**bench.config_kwargs())
-    pipeline = ClapPipeline(program, config)
+    pipeline = ClapPipeline(program, ClapConfig(**bench.config_kwargs()))
     recorded = pipeline.record()
-    summaries = execute_recorded_paths(
-        program, decode_log(recorded.recorder), pipeline.shared, bug=recorded.bug
-    )
+    system = pipeline.analyze(recorded)
 
-    raw = encode(
-        summaries,
-        config.memory_model,
-        program.symbols,
-        pipeline.shared,
-        hb=False,
-    )
-    pruned = encode(
-        summaries, config.memory_model, program.symbols, pipeline.shared
-    )
+    lazy = solve_constraints(system)
+    eager = solve_constraints(system, sat_factory=ReferenceCDCL)
+    assert lazy.ok == eager.ok
+    assert lazy.ok, name  # recorded bugs are always reproducible
 
-    r_raw = solve_constraints(raw)
-    r_pruned = solve_constraints(pruned)
-    assert r_raw.ok == r_pruned.ok
-    assert r_raw.ok, name  # recorded bugs are always reproducible
-
-    stats = compute_stats(pruned)
-    assert stats.n_pruned_choice_vars > 0, name
-
-    outcome = pipeline.replay(r_pruned.schedule, recorded.bug)
-    assert outcome.reproduced, name
+    for solved in (lazy, eager):
+        assert ScheduleValidator(system).validate(solved.schedule).ok, name
+        outcome = pipeline.replay(solved.schedule, recorded.bug)
+        assert outcome.reproduced, name
