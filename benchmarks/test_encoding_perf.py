@@ -8,9 +8,10 @@ machine-readable as ``results/BENCH_encoding.json`` (uploaded by the CI
   case) measured end-to-end offline (symexec + encode + solve).  The
   default solver keeps Frw's no-middle clauses virtual and builds one
   only when it propagates or conflicts (:mod:`repro.solver.frw`); the
-  eager baseline is the same solver with every one of them loaded before
-  the search (``_EagerFrw`` below — a test-side subclass, not an
-  option).  The CI gate fails when, at the largest size, the lazy solver
+  theory counts the ones in the core, the units added at build plus the
+  clauses handed over since.  The eager baseline is the same solver
+  with every one of them loaded before the search (``_EagerFrw`` below —
+  a test-side subclass, not an option).  The CI gate fails when, at the largest size, the lazy solver
   builds more than ``GATE_MAX_BUILT_SHARE`` of F's no-middle clauses.
   Timings are reported, not gated.
 * **table1** — per benchmark: F's no-middle clause count, how many the
@@ -89,26 +90,6 @@ int main() {
 """
 
 
-class _CountingFrw(ClapSmtSolver):
-    """The default solver, noting which virtual clauses are no-middle."""
-
-    def _no_middle(self, sink):
-        first = len(self.frw.clauses)
-        decided = self.decided_clauses
-        super()._no_middle(sink)
-        self._nomid_ids = range(first, len(self.frw.clauses))
-        self._nomid_decided = self.decided_clauses - decided
-
-    def no_middle_built(self):
-        """F's no-middle clauses that reached the SAT core: the units
-        added at build plus the virtual ones handed over since."""
-        total = no_middle_count(self.system.rf_candidates)
-        virtual = len(self._nomid_ids)
-        units = total - self._nomid_decided - virtual
-        handed = sum(self.frw.clauses[cid] is None for cid in self._nomid_ids)
-        return units + handed
-
-
 class _EagerFrw(ClapSmtSolver):
     """The default solver with every lazy clause loaded up front."""
 
@@ -145,10 +126,10 @@ def test_scaling_lazy_frw():
         )
         recorded = pipeline.record()
         eager_seconds, _eager, eager_result = _offline(pipeline, recorded, _EagerFrw)
-        lazy_seconds, lazy, lazy_result = _offline(pipeline, recorded, _CountingFrw)
+        lazy_seconds, lazy, lazy_result = _offline(pipeline, recorded, ClapSmtSolver)
         assert eager_result.ok and lazy_result.ok, n
         total = no_middle_count(lazy.system.rf_candidates)
-        built = lazy.no_middle_built()
+        built = lazy.frw.no_middle_built
         rows.append(
             {
                 "size": n,
@@ -183,7 +164,7 @@ def test_table1_lazy_frw():
     rows = []
     for name in TABLE1_NAMES:
         bench, pipeline, recorded, system = pipeline_artifacts(name)
-        solver = _CountingFrw(system)
+        solver = ClapSmtSolver(system)
         solved = solver.solve(max_seconds=MAX_SECONDS)
         assert solved.ok, name
         outcome = pipeline.replay(solved.schedule, recorded.bug)
@@ -193,7 +174,7 @@ def test_table1_lazy_frw():
                 "name": name,
                 "memory_model": bench.memory_model,
                 "no_middle": no_middle_count(system.rf_candidates),
-                "built": solver.no_middle_built(),
+                "built": solver.frw.no_middle_built,
                 "decided": solved.decided_clauses,
                 "lemmas": solved.sat_stats["lemmas"],
                 "reproduced": outcome.reproduced,

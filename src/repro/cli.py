@@ -141,7 +141,7 @@ def _report_payload(report):
         "context_switches": report.context_switches,
         "profile": dict(
             [(phase, round(seconds, 6)) for phase, seconds in _profile_phases(report)]
-            + [("cache", report.cache_state)]
+            + [("build", round(report.time_build, 6)), ("cache", report.cache_state)]
         ),
         "cache_stats": report.cache_stats,
         "sat_stats": report.solver_detail.get("sat_stats", {}),
@@ -184,7 +184,10 @@ def cmd_reproduce(args):
     if args.profile:
         print("profile:")
         for phase, seconds in _profile_phases(report):
-            print("  %-8s %8.3fs" % (phase, seconds))
+            build = ""
+            if phase == "solve":
+                build = " (build %d ms)" % round(report.time_build * 1000)
+            print("  %-8s %8.3fs%s" % (phase, seconds, build))
         print("  cache    %8s" % report.cache_state)
     if report.recorder_metrics:
         metrics = report.recorder_metrics

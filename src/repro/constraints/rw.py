@@ -15,9 +15,10 @@ three).  The worst-case size is 4·Nr·Nw², cubic in the number of SAPs,
 which is the paper's complexity analysis.
 
 The no-middle clauses — the ``Nw²`` factor — are not built here: they
-are a function of ``rf_candidates`` alone, and the SMT solver generates
-them lazily (:mod:`repro.solver.frw`).  :func:`no_middle_count` gives
-their number for the statistics.
+are a function of ``rf_candidates`` alone.  The SMT solver keeps only
+the structure they come from, O(Nr·Nw + Nw²) entries per address, and
+forms a clause when the search reaches it (:mod:`repro.solver.frw`).
+:func:`no_middle_count` gives their number for the statistics.
 """
 
 from repro.constraints.model import (

@@ -147,6 +147,10 @@ class ClapReport:
     time_symbolic: float = 0.0
     time_encode: float = 0.0
     time_solve: float = 0.0
+    # The part of ``time_solve`` spent building the SMT solver (0 for
+    # genval, which builds none, and for a raced smt-inc whose ladder
+    # worker did not finish).
+    time_build: float = 0.0
     time_replay: float = 0.0
     # Analysis-cache outcome for this run: 'off', 'miss' or 'hit', plus
     # the cache's own counters when one was attached.
@@ -548,6 +552,7 @@ class ClapPipeline:
         t0 = time.monotonic()
         solved = self.solve(system)
         report.time_solve = time.monotonic() - t0
+        report.time_build = getattr(solved, "build_time", 0.0)
         report.n_pruned_clauses = getattr(solved, "decided_clauses", 0)
         if not solved.ok:
             report.failure_reason = "solver: " + solved.reason

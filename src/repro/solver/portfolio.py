@@ -157,6 +157,7 @@ class _PortfolioJob:
             "round_stats": list(result.round_stats),
             "sat_stats": dict(result.sat_stats),
             "decided_clauses": result.decided_clauses,
+            "build_time": result.build_time,
             "wall": time.monotonic() - start,
         }
 
@@ -291,6 +292,7 @@ def solve_constraints_portfolio(
     iterations = seq_payload.get("iterations", 0)
     sat_stats = merge_sat_stats([seq_payload.get("sat_stats")])
     decided = seq_payload.get("decided_clauses", 0)
+    build_time = seq_payload.get("build_time", 0.0)
 
     stats = PortfolioStats(
         workers=min(workers, len(specs)),
@@ -343,6 +345,7 @@ def solve_constraints_portfolio(
             round_stats=round_stats,
             sat_stats=sat_stats,
             decided_clauses=decided,
+            build_time=build_time,
         )
         result.portfolio = stats.as_dict()
         return result
@@ -356,6 +359,7 @@ def solve_constraints_portfolio(
             round_stats=list(seq_payload["round_stats"]),
             sat_stats=sat_stats,
             decided_clauses=decided,
+            build_time=build_time,
         )
     else:
         result = SmtResult(
@@ -366,6 +370,7 @@ def solve_constraints_portfolio(
             solve_time=wall,
             sat_stats=sat_stats,
             decided_clauses=decided,
+            build_time=build_time,
         )
     result.portfolio = stats.as_dict()
     return result

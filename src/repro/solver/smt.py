@@ -11,10 +11,15 @@ Boolean skeleton (CDCL)
 
 Frw theory (lazy)
     Frw's no-middle clauses and the pairwise exclusions of large choice
-    groups are enumerated at build but kept virtual
-    (:class:`~repro.solver.frw.FrwTheory`): one enters the SAT core only
-    when it propagates or conflicts.  The frozen reference core gets them
-    all up front.
+    groups are not enumerated at build.  The solver hands
+    :class:`~repro.solver.frw.FrwTheory` the structure they come from —
+    per address the order literal of each pair of writes, per read one
+    record per candidate write, each large choice group once — and
+    counts the clauses the fixed-order closure decides with bitsets.  A
+    clause is formed, and enters the SAT core, only when it propagates or
+    conflicts.  The frozen reference core gets them all up front
+    (:meth:`ClapSmtSolver._eager_no_middle`).  ``SmtResult.build_time``
+    is the construction time on its own.
 
 Order theory
     The fixed edges (Fmo + fixed Fso) form a DAG whose transitive closure
@@ -67,7 +72,7 @@ from repro.analysis.symbolic import sym_eval
 from repro.constraints.context_switch import count_context_switches
 from repro.constraints.model import INIT, OLt, RFChoice, SWChoice
 from repro.solver.cdcl import CDCLSolver, SAT, UNSAT
-from repro.solver.frw import FrwTheory
+from repro.solver.frw import FrwTheory, no_middle_clause
 from repro.solver.order import OrderTheory
 from repro.solver.validate import ScheduleValidator, StepModel
 
@@ -95,6 +100,9 @@ class SmtResult:
     # How many of F's clauses the fixed-order closure satisfied when the
     # solver loaded the system (they never reach the SAT core).
     decided_clauses: int = 0
+    # Seconds spent constructing the solver (closure, CNF and Frw
+    # structure), included in ``solve_time``.
+    build_time: float = 0.0
     # Portfolio extras (solve_constraints_portfolio only): the
     # PortfolioStats counters as a dict — winner identity, resolved
     # rungs, cancellations.
@@ -127,12 +135,18 @@ class _Reachability:
                     order.append(nxt)
         if len(order) != n:
             raise ValueError("fixed order constraints are cyclic (unsat)")
+        # Node -> bitset of the nodes it reaches / that reach it.
         self.reach = [0] * n
         for node in reversed(order):
             mask = 0
             for nxt in succ[node]:
                 mask |= self.reach[nxt] | (1 << nxt)
             self.reach[node] = mask
+        self.pred = [0] * n
+        for node in order:
+            mask = self.pred[node] | (1 << node)
+            for nxt in succ[node]:
+                self.pred[nxt] |= mask
 
     def reaches(self, a, b):
         return bool(self.reach[self.index[a]] >> self.index[b] & 1)
@@ -208,6 +222,7 @@ class ClapSmtSolver:
     """CDCL(T) solver for one :class:`ConstraintSystem`."""
 
     def __init__(self, system, sat_factory=None):
+        start = time.monotonic()
         self.system = system
         self.sat = (sat_factory or CDCLSolver)()
         self.validator = ScheduleValidator(system)
@@ -245,6 +260,7 @@ class ClapSmtSolver:
         # F's clauses the fixed-order closure satisfies at build.
         self.decided_clauses = 0
         self._build()
+        self.build_time = time.monotonic() - start
 
     def _order_theory(self, uids):
         """The in-search order theory over the SAPs and fixed edges.
@@ -334,64 +350,146 @@ class ClapSmtSolver:
     def _build(self):
         """Load F into the SAT core.
 
-        The encoder's clauses go in as they are.  The pairwise exclusions
-        of a choice group with more than two literals and Frw's no-middle
-        clauses go to the lazy Frw theory instead, when the core has one;
-        a core without a theory hook gets them all up front."""
+        The encoder's clauses go in as they are.  A choice group with
+        more than two literals and Frw's no-middle clauses go to the Frw
+        theory as structure instead, when the core has one; a core without
+        a theory hook gets all their clauses up front."""
         system = self.system
-        lazy = self.frw.add if self.frw is not None else self.sat.add_clause
-
         for clause in system.clauses:
             self._add_clause(clause.lits)
         for group in system.exactly_one:
             self._add_clause(group.lits)
-            self._exclude(group.lits, lazy)
+            self._exclude(group.lits)
         for group in system.at_most_one:
-            self._exclude(group.lits, lazy)
-        self._no_middle(lazy)
+            self._exclude(group.lits)
+        if self.frw is None:
+            self._eager_no_middle(self.sat.add_clause)
+        else:
+            self._no_middle()
 
-    def _exclude(self, group, lazy):
-        """At most one of ``group``: pairwise clauses, lazy beyond a pair."""
+    def _exclude(self, group):
+        """At most one of ``group``: a theory group beyond a pair,
+        pairwise clauses otherwise."""
         lits = [self._lit(l) for l in group]
         concrete = [l for l in lits if l is not True and l is not False]
-        sink = lazy if len(concrete) > 2 else self.sat.add_clause
+        if len(concrete) > 2 and self.frw is not None:
+            self.frw.add_group(concrete)
+            return
         for i in range(len(concrete)):
             for j in range(i + 1, len(concrete)):
-                sink([-concrete[i], -concrete[j]])
+                self.sat.add_clause([-concrete[i], -concrete[j]])
 
-    def _no_middle(self, sink):
-        """Frw's no-middle clauses ``¬rf(r, w) ∨ O_w' < O_w ∨ O_r < O_w'``
-        for each read ``r`` and pair of its write candidates ``w ≠ w'``.
+    def _write_candidates(self):
+        """``(read, writes)`` for each read with two write candidates or
+        more, in ``rf_candidates`` order."""
+        for read, sources in self.system.rf_candidates.items():
+            writes = [source for source in sources if source != INIT]
+            if len(writes) >= 2:
+                yield read, writes
+
+    def _eager_no_middle(self, sink):
+        """Every one of Frw's no-middle clauses ``¬rf(r, w) ∨ O_w' < O_w ∨
+        O_r < O_w'``, for each read ``r`` and pair of its write candidates
+        ``w ≠ w'``: the core without a theory hook gets them all before
+        the search.
 
         A clause the fixed-order closure satisfies is dropped and counted
         in ``decided_clauses``; one it reduces to ``¬rf(r, w)`` is added
         as a unit; every other one goes to ``sink``."""
-        order, olits = self._order, self._olits
+        order = self._order
         add_unit = self.sat.add_clause
         decided = 0
-        for read, sources in self.system.rf_candidates.items():
-            writes = [source for source in sources if source != INIT]
-            if len(writes) < 2:
-                continue
+        for read, writes in self._write_candidates():
             after_read = [order(read, other) for other in writes]
             for w in writes:
                 not_rf = -self._choice_lit(RFChoice(read, w))
-                for other, other_after in zip(writes, after_read):
+                for other, after in zip(writes, after_read):
                     if other == w:
                         continue
-                    other_before = olits.get((other, w))
-                    if other_before is None:
-                        other_before = order(other, w)
-                    if other_before is True or other_after is True:
+                    clause = no_middle_clause(not_rf, order(other, w), after)
+                    if clause is None:
                         decided += 1
-                    elif other_before is False and other_after is False:
-                        add_unit([not_rf])
-                    elif other_before is False:
-                        sink([not_rf, other_after])
-                    elif other_after is False:
-                        sink([not_rf, other_before])
+                    elif len(clause) == 1:
+                        add_unit(clause)
                     else:
-                        sink([not_rf, other_before, other_after])
+                        sink(clause)
+        self.decided_clauses += decided
+
+    def _no_middle(self):
+        """Hand Frw's no-middle clauses to the Frw theory as structure,
+        one write universe per address: the order literal of each pair of
+        writes that are both candidates of one read, and per read its
+        choice variables and ``O_r < O_w`` literals.
+
+        No clause is enumerated.  The ones the fixed-order closure decides
+        are counted with the reachability bitsets: ``O_w' < O_w`` is true
+        for ``w'`` in pred(w) and false in succ(w), ``O_r < O_w'`` is true
+        for ``w'`` in succ(r) and false in pred(r).  A ``w'`` that makes
+        both false reduces the clause to the unit ``¬rf(r, w)``.  Order
+        variables are created in the order the clause-by-clause
+        enumeration (:meth:`_eager_no_middle`) first meets them, so the
+        variable numbering is the same either way."""
+        order, choice = self._order, self._choice_lit
+        index, succ, pred = self.reach.index, self.reach.reach, self.reach.pred
+        saps = self.system.saps
+        add_unit = self.sat.add_clause
+        # addr -> (write -> number, number -> paired numbers, before, reads)
+        universes = {}
+        decided = units = 0
+        for read, writes in self._write_candidates():
+            universe = universes.get(saps[read].addr)
+            if universe is None:
+                universe = universes[saps[read].addr] = ({}, [], {}, [])
+            numbers, paired, before, records = universe
+            afters = [order(read, w) for w in writes]
+            ids = []
+            for w in writes:
+                number = numbers.get(w)
+                if number is None:
+                    number = numbers[w] = len(numbers)
+                    paired.append(0)
+                ids.append(number)
+            later = 0
+            for number in ids:
+                later |= 1 << number
+            choices = []
+            for p, w in enumerate(writes):
+                choices.append(choice(RFChoice(read, w)))
+                i = ids[p]
+                later &= ~(1 << i)
+                missing = later & ~paired[i]
+                if not missing:
+                    continue
+                for q in range(p + 1, len(writes)):
+                    j = ids[q]
+                    if missing >> j & 1:
+                        lit = before[(j, i)] = order(writes[q], w)
+                        if lit is True or lit is False:
+                            before[(i, j)] = not lit
+                        else:
+                            before[(i, j)] = -lit
+                        paired[i] |= 1 << j
+                        paired[j] |= 1 << i
+            records.append((choices, afters, ids))
+            node = index[read]
+            after_true, after_false = succ[node], pred[node]
+            candidates = 0
+            for w in writes:
+                candidates |= 1 << index[w]
+            after_true &= candidates
+            after_false &= candidates
+            for p, w in enumerate(writes):
+                node = index[w]
+                decided += (
+                    (pred[node] & candidates | after_true) & ~(1 << node)
+                ).bit_count()
+                unit = (succ[node] & after_false).bit_count()
+                if unit:
+                    units += unit
+                    add_unit([-choices[p]])
+        for numbers, _paired, before, records in universes.values():
+            self.frw.add_universe(len(numbers), before, records)
+        self.frw.no_middle_built += units
         self.decided_clauses += decided
 
     # -- theory checks ---------------------------------------------------------
@@ -838,6 +936,7 @@ class ClapSmtSolver:
             solve_time=time.monotonic() - start,
             sat_stats=self._sat_stats(),
             decided_clauses=self.decided_clauses,
+            build_time=self.build_time,
             **extra,
         )
 
@@ -897,6 +996,7 @@ class ClapSmtSolver:
             solve_time=time.monotonic() - start,
             sat_stats=self._sat_stats(),
             decided_clauses=self.decided_clauses,
+            build_time=self.build_time,
         )
 
     # -- minimal-context-switch bound loop -----------------------------------
@@ -1052,6 +1152,7 @@ class ClapSmtSolver:
                     round_stats=round_stats,
                     sat_stats=self._sat_stats(),
                     decided_clauses=self.decided_clauses,
+                    build_time=self.build_time,
                 )
             if status == UNSAT and not exhausted:
                 return self._fail(
@@ -1133,6 +1234,7 @@ def solve_constraints_bounded(
     iterations = 0
     round_stats = []
     sat_stats = {}
+    build_time = 0.0
     for c in range(max_cs + 1):
         try:
             solver = ClapSmtSolver(system, sat_factory=sat_factory)
@@ -1140,6 +1242,7 @@ def solve_constraints_bounded(
             return SmtResult(
                 False, reason=str(exc), solve_time=time.monotonic() - start
             )
+        build_time += solver.build_time
         remaining = None
         if max_seconds is not None:
             remaining = max_seconds - (time.monotonic() - start)
@@ -1151,6 +1254,7 @@ def solve_constraints_bounded(
                     solve_time=time.monotonic() - start,
                     round_stats=round_stats,
                     sat_stats=sat_stats,
+                    build_time=build_time,
                 )
         result = solver.solve_bounded(
             c,
@@ -1170,6 +1274,7 @@ def solve_constraints_bounded(
             result.iterations = iterations
             result.round_stats = round_stats
             result.solve_time = time.monotonic() - start
+            result.build_time = build_time
             if result.ok:
                 result.bound = c
             return result
@@ -1180,4 +1285,5 @@ def solve_constraints_bounded(
         solve_time=time.monotonic() - start,
         round_stats=round_stats,
         sat_stats=sat_stats,
+        build_time=build_time,
     )

@@ -67,7 +67,7 @@ def no_middle_clauses(summaries):
             system.saps[sap.uid] = sap
     solver = ClapSmtSolver(system)
     triples = []
-    solver._no_middle(triples.append)
+    solver._eager_no_middle(triples.append)
 
     def atom_lit(lit):
         atom = solver.var_atom[abs(lit)]

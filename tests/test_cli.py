@@ -1,6 +1,7 @@
 """Command-line interface tests (python -m repro ...)."""
 
 import json
+import re
 
 import pytest
 
@@ -200,6 +201,8 @@ def test_reproduce_profile_output(race_file, capsys):
     assert "off" in out  # no cache attached on plain reproduce
     assert "pruned" in out and "fixed order" in out
     assert "lemmas" in out
+    # Solver construction is told apart from the search.
+    assert re.search(r"solve +\d+\.\d+s \(build \d+ ms\)", out)
 
 
 def test_reproduce_json_output(race_file, capsys):
@@ -213,6 +216,8 @@ def test_reproduce_json_output(race_file, capsys):
     assert profile["cache"] == "off"
     for phase in ("record", "symexec", "encode", "solve", "replay"):
         assert profile[phase] >= 0.0
+    # The solver build is part of the solve phase.
+    assert 0.0 < profile["build"] <= profile["solve"]
     assert "n_pruned_choice_vars" not in payload
     # The fork/join edges always decide some clauses at solver build.
     assert payload["n_pruned_clauses"] > 0
