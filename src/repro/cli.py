@@ -222,12 +222,14 @@ def cmd_reproduce(args):
     if sat:
         print(
             "sat core     : %d solve calls, %d propagations, %d conflicts"
-            " (%d theory), %d lemmas, %d restarts, %d learned, %d reuse hits"
+            " (%d theory, %d value), %d lemmas, %d restarts, %d learned,"
+            " %d reuse hits"
             % (
                 sat.get("solve_calls", 0),
                 sat.get("propagations", 0),
                 sat.get("conflicts", 0),
                 sat.get("theory_conflicts", 0),
+                sat.get("value_conflicts", 0),
                 sat.get("lemmas", 0),
                 sat.get("restarts", 0),
                 sat.get("learned", 0),

@@ -22,6 +22,9 @@ class SolverPhaseStats:
     clauses caught mid-search.  ``lemmas`` counts the theory clauses that
     entered the core unit and propagated their last literal: the Frw
     clauses the search needed, out of the many it kept virtual.
+    ``value_conflicts`` counts the theory conflicts the values theory
+    raised: a path condition or the bug predicate false once every read
+    it depends on has its reads-from choice.
     """
 
     solve_calls: int = 0
@@ -34,6 +37,7 @@ class SolverPhaseStats:
     reuse_hits: int = 0
     theory_conflicts: int = 0
     lemmas: int = 0
+    value_conflicts: int = 0
 
     def as_dict(self):
         return asdict(self)

@@ -5,8 +5,9 @@ Two engines, matching the paper's Section 4:
 * :mod:`repro.solver.smt` — a monolithic CDCL(T) solver (the stand-in for
   STP): a CDCL SAT core over reads-from/signal-wait choices and order
   atoms, an order theory (cycle detection over strict precedence atoms),
-  and a lazy value theory that evaluates ``Fpath ∧ Fbug`` once reads-from
-  choices pin every read's value.
+  and a values theory (:mod:`repro.solver.values`) that evaluates each
+  expression of ``Fpath ∧ Fbug`` inside the search, once reads-from
+  choices pin the values it depends on.
 * :mod:`repro.solver.parallel` — the generate-and-validate algorithm of
   Section 4.3: preemption-bounded schedule generation (stacks for SC,
   SAP-trees for TSO/PSO) with per-candidate linear validation, run either

@@ -52,7 +52,9 @@ falsified finds it exactly when it first becomes unit or false.
 The theory sits in front of the order theory
 (:class:`~repro.solver.order.OrderTheory`) on the core's one theory
 hook: it catches up on the trail first, then lets the order theory
-assert the same literals.
+assert the same literals.  The values theory
+(:class:`~repro.solver.values.ValuesTheory`) wraps both and runs them
+to their fixpoint before it checks values.
 """
 
 def no_middle_clause(not_rf, before, after):

@@ -46,7 +46,7 @@ def test_value_check_accepts_observed_mapping(solver):
     rf = {}
     for read_uid, sources in system.rf_candidates.items():
         rf[read_uid] = INIT
-    env, blamed, failure = solver._check_values(rf)
+    blamed, failure = solver._check_values(rf)
     # All-init cannot satisfy the bug (c==4 would then hold... actually
     # all reads 0 -> writes produce 1s -> final read 0 != 4: bug holds) —
     # whatever the outcome, the call must terminate and blame only reads.
@@ -57,7 +57,7 @@ def test_blocking_cone_is_subset_of_reads(solver):
     system = solver.system
     reads = {u for u, s in system.saps.items() if s.is_read}
     rf = {read_uid: INIT for read_uid in system.rf_candidates}
-    env, blamed, failure = solver._check_values(rf)
+    blamed, failure = solver._check_values(rf)
     assert blamed <= reads
 
 

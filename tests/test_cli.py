@@ -201,6 +201,8 @@ def test_reproduce_profile_output(race_file, capsys):
     assert "off" in out  # no cache attached on plain reproduce
     assert "pruned" in out and "fixed order" in out
     assert "lemmas" in out
+    # The values theory's conflicts are split out of the theory ones.
+    assert re.search(r"conflicts \(\d+ theory, \d+ value\)", out)
     # Solver construction is told apart from the search.
     assert re.search(r"solve +\d+\.\d+s \(build \d+ ms\)", out)
 
@@ -222,6 +224,8 @@ def test_reproduce_json_output(race_file, capsys):
     # The fork/join edges always decide some clauses at solver build.
     assert payload["n_pruned_clauses"] > 0
     assert payload["sat_stats"]["lemmas"] >= 0
+    sat = payload["sat_stats"]
+    assert 0 <= sat["value_conflicts"] <= sat["theory_conflicts"] <= sat["conflicts"]
     assert payload["sat_stats"]["solve_calls"] >= 1
     assert payload["schedule"]  # "thread#index" strings
     assert all("#" in step for step in payload["schedule"])
