@@ -11,7 +11,6 @@ length while the suffix system stays flat; both reproduce the failure.
 
 import pytest
 
-from repro.core.checkpoint import CheckpointClapPipeline
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.minilang import compile_source
 from repro.solver.smt import solve_constraints
@@ -52,29 +51,20 @@ def test_checkpoint_bounds_constraint_growth(benchmark, warmup):
     config = ClapConfig(stickiness=0.35)
 
     def once():
-        full = ClapPipeline(program, config)
-        full_rec = full.record()
-        full_system = full.analyze(full_rec)
+        pipeline = ClapPipeline(program, config)
+        full_system = pipeline.analyze(pipeline.record())
         full_solved = solve_constraints(full_system, max_seconds=120)
 
-        cp = CheckpointClapPipeline(program, config, interval_steps=150)
-        cp_rec = cp.record()
-        cp_system = cp.analyze(cp_rec)
-        cp_solved = cp.solve(cp_system)
-        reproduced = False
-        if cp_solved.ok:
-            outcome = cp.replay(
-                cp_solved.schedule, cp_rec.bug, checkpoint=cp_rec.checkpoint
-            )
-            reproduced = outcome.reproduced
+        cp_rec = pipeline.record(checkpoint_steps=150)
+        cp = pipeline.reproduce_offline(cp_rec)
         return (
             warmup,
             len(full_system.saps),
             full_solved.solve_time,
             cp_rec.n_checkpoints,
-            len(cp_system.saps),
-            cp_solved.solve_time,
-            reproduced,
+            cp.n_saps,
+            cp.time_solve,
+            cp.reproduced,
         )
 
     row = benchmark.pedantic(once, rounds=1, iterations=1)

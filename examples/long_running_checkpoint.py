@@ -16,7 +16,6 @@ snapshot instead of program entry.
 Run:  python examples/long_running_checkpoint.py
 """
 
-from repro.core.checkpoint import CheckpointClapPipeline
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.minilang import compile_source
 
@@ -49,31 +48,23 @@ int main() {
 
 def main():
     program = compile_source(SOURCE, name="long-run")
-    config = ClapConfig(stickiness=0.35)
+    pipeline = ClapPipeline(program, ClapConfig(stickiness=0.35))
 
     print("=== without checkpointing: the whole trace is the problem ===")
-    full = ClapPipeline(program, config)
-    full_recorded = full.record()
-    full_system = full.analyze(full_recorded)
+    full_system = pipeline.analyze(pipeline.record())
     print("  SAPs to solve over : %d" % len(full_system.saps))
 
     print("\n=== with checkpoints every 200 steps ===")
-    pipeline = CheckpointClapPipeline(program, config, interval_steps=200)
-    recorded = pipeline.record()
+    recorded = pipeline.record(checkpoint_steps=200)
     print("  checkpoints taken  : %d" % recorded.n_checkpoints)
-    system = pipeline.analyze(recorded)
-    print("  SAPs in the suffix : %d" % len(system.saps))
+    report = pipeline.reproduce_offline(recorded)
+    print("  SAPs in the suffix : %d" % report.n_saps)
     print(
         "  constraint reduction: %.0f%%"
-        % (100.0 * (1 - len(system.saps) / len(full_system.saps)))
+        % (100.0 * (1 - report.n_saps / len(full_system.saps)))
     )
-
-    solved = pipeline.solve(system)
-    assert solved.ok, solved.reason
-    outcome = pipeline.replay(
-        solved.schedule, recorded.bug, checkpoint=recorded.checkpoint
-    )
-    print("\n  suffix schedule reproduces the failure:", outcome.reproduced)
+    assert report.schedule, report.failure_reason
+    print("\n  suffix schedule reproduces the failure:", report.reproduced)
     print("  (replay started from the restored snapshot, not program entry)")
 
 

@@ -366,7 +366,6 @@ def cmd_trace(args):
     import zlib
 
     from repro.core.clap import ClapConfig, ClapPipeline
-    from repro.tracing.decoder import decode_log
 
     program = _load_program(args.program)
     config = ClapConfig(
@@ -379,12 +378,7 @@ def cmd_trace(args):
     )
     pipeline = ClapPipeline(program, config)
     recorded = pipeline.record() if args.buggy else pipeline.record_once(args.seed)
-    if recorded.ring:
-        decoded, _ = pipeline._decode_ring(
-            recorded, recorded.ring, recorded.lossy
-        )
-    else:
-        decoded = decode_log(recorded.recorder)
+    decoded, _ = pipeline.decode(recorded)
 
     if args.json:
         ring_threads = (recorded.ring or {}).get("threads", {})

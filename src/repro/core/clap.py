@@ -3,7 +3,9 @@
 1. **Record** (:meth:`ClapPipeline.record`): run the program under a seeded
    scheduler with only the thread-local Ball-Larus path recorder attached,
    until a failure manifests.  The recorder's logs are CLAP's entire
-   runtime footprint.
+   runtime footprint.  With ``checkpoint_steps`` (the paper's §6.4
+   plan) the run is snapshotted at quiescent points and the later phases
+   cover only the suffix after the last snapshot.
 2. **Analyze + solve** (:meth:`ClapPipeline.analyze`,
    :meth:`ClapPipeline.solve`): decode the path logs, re-execute each
    thread symbolically, encode ``F = Fpath ∧ Fbug ∧ Fso ∧ Frw ∧ Fmo``, and
@@ -25,6 +27,7 @@ from repro.analysis.escape import shared_variables
 from repro.analysis.symexec import execute_recorded_paths
 from repro.constraints.encoder import encode
 from repro.constraints.stats import compute_stats
+from repro.runtime.checkpoint import is_quiescent, take_checkpoint
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.replay import replay_schedule
 from repro.runtime.scheduler import RandomScheduler
@@ -103,6 +106,10 @@ class RecordedExecution:
     # (for per-segment container serialization).  None for classic runs.
     ring: dict | None = None
     ring_sink: object = None
+    # Checkpointed runs (paper §6.4): the last quiescent-point snapshot;
+    # the recorder's logs then hold only the suffix after it.
+    checkpoint: object = None
+    n_checkpoints: int = 0
 
     @property
     def bug(self):
@@ -182,7 +189,7 @@ class ClapPipeline:
 
     # -- phase 1 ----------------------------------------------------------
 
-    def record_once(self, seed, sink=None):
+    def record_once(self, seed, sink=None, checkpoint_steps=None):
         """One recorded run under the given scheduler seed.
 
         ``sink`` (a :class:`repro.tracing.recorder.StreamingTraceSink`)
@@ -193,8 +200,23 @@ class ClapPipeline:
         thread's retained log; the recorder's logs are then the surviving
         *suffix* tokens and the returned execution carries the ring
         metadata the analysis needs.
+
+        ``checkpoint_steps`` turns on the paper's §6.4 checkpointing:
+        at the first quiescent point (:func:`is_quiescent`) at least that
+        many steps after the previous checkpoint, the full state is
+        snapshotted and the recorder's logs restart with ``resume``
+        tokens, so the analysis covers only the suffix after the last
+        snapshot and replay starts from it.
         """
         cfg = self.config
+        if checkpoint_steps is not None and (
+            sink is not None or cfg.ring_bytes is not None
+        ):
+            raise ClapError(
+                "checkpointed recording does not combine with a ring or a "
+                "streaming sink: the sink would keep the pre-checkpoint "
+                "tokens the snapshot replaces"
+            )
         if sink is None and cfg.ring_bytes is not None:
             sink = RingTraceSink(
                 cfg.ring_bytes, segment_bytes=cfg.ring_segment_bytes
@@ -220,7 +242,21 @@ class ClapPipeline:
             hooks=[recorder],
             max_steps=cfg.max_steps,
         )
-        result = interp.run()
+        state = {"last": 0, "checkpoint": None, "count": 0}
+        step_hook = None
+        if checkpoint_steps is not None:
+
+            def step_hook(interp):
+                if interp.steps - state["last"] < checkpoint_steps:
+                    return
+                if interp.bug is not None or not is_quiescent(interp):
+                    return
+                state["checkpoint"] = take_checkpoint(interp)
+                recorder.checkpoint(interp)
+                state["count"] += 1
+                state["last"] = interp.steps
+
+        result = interp.run(step_hook=step_hook)
         recorder.finalize(interp)
         ring = None
         if ring_sink is not None:
@@ -238,16 +274,19 @@ class ClapPipeline:
             shared=self.shared,
             ring=ring,
             ring_sink=ring_sink,
+            checkpoint=state["checkpoint"],
+            n_checkpoints=state["count"],
         )
 
-    def record(self):
+    def record(self, checkpoint_steps=None):
         """Retry seeds until a failure manifests (the paper triggers bugs
         with timing delays and repeated runs).  Among the first few failing
         runs, the one with the smallest SAP count is kept — shorter traces
-        make the offline phase cheaper without changing the failure."""
+        make the offline phase cheaper without changing the failure.
+        ``checkpoint_steps`` is passed to :meth:`record_once`."""
         candidates = []
         for seed in self.config.seeds:
-            recorded = self.record_once(seed)
+            recorded = self.record_once(seed, checkpoint_steps=checkpoint_steps)
             if recorded.bug is not None and recorded.bug.kind == "assertion":
                 candidates.append(recorded)
                 if len(candidates) >= self.config.record_candidates:
@@ -269,16 +308,21 @@ class ClapPipeline:
         the encoder; a miss stores the fresh result.  ``timings``, when a
         dict, receives the per-phase wall clocks (``symexec``,
         ``encode``) and the cache outcome (``cache``: hit/miss).
+
+        A checkpointed recording is encoded as the suffix after its
+        snapshot: threads that started or exited before it are marked,
+        and the snapshot is the initial memory.
         """
         if timings is None:
             timings = {}
-        ring = getattr(recorded, "ring", None)
         lossy = bool(getattr(recorded, "lossy", False))
+        checkpoint = getattr(recorded, "checkpoint", None)
         material = None
-        if cache is not None and lossy:
+        if cache is not None and (lossy or checkpoint is not None):
             # A suffix log's analysis depends on the anchors and the
-            # synthesized prefix, which the cache key does not capture;
-            # never serve or store a lossy trace from the cache.
+            # synthesized prefix, or on the snapshot, none of which the
+            # cache key (the logs) captures; never serve or store such a
+            # trace from the cache.
             cache = None
             timings["cache"] = "bypass"
         if cache is not None:
@@ -302,16 +346,10 @@ class ClapPipeline:
             timings["cache"] = "miss"
 
         t0 = time.monotonic()
-        if ring:
-            decoded, synthesis = self._decode_ring(recorded, ring, lossy)
-            if synthesis is not None:
-                timings["synthesis"] = synthesis.to_json()
-        else:
-            decoded = decode_log(recorded.recorder)
+        summaries, synthesis = self.summarize(recorded)
+        if synthesis is not None:
+            timings["synthesis"] = synthesis.to_json()
         timings["lossy"] = lossy
-        summaries = execute_recorded_paths(
-            self.program, decoded, self.shared, bug=recorded.bug
-        )
         t1 = time.monotonic()
         timings["symexec"] = t1 - t0
         system = encode(
@@ -319,7 +357,13 @@ class ClapPipeline:
             self.config.memory_model,
             self.program.symbols,
             self.shared,
+            preexisting=checkpoint.preexisting() if checkpoint else frozenset(),
+            preexited=checkpoint.preexited() if checkpoint else frozenset(),
         )
+        if checkpoint is not None:
+            # The snapshot is the suffix's initial memory.
+            for addr in system.initial_values:
+                system.initial_values[addr] = checkpoint.memory[addr]
         timings["encode"] = time.monotonic() - t1
         if cache is not None:
             from dataclasses import asdict as _asdict
@@ -336,14 +380,35 @@ class ClapPipeline:
             self._pin_observed_reads(system, recorded)
         return system
 
-    def _decode_ring(self, recorded, ring, lossy):
-        """Anchored suffix decode (+ prefix synthesis when lossy).
-
-        Each thread decodes against its eviction-horizon anchor; threads
-        that lost tokens get a synthesized prefix grafted on (refusing —
-        via :class:`ClapError` — when the suffix cannot be grounded in
-        any legal prefix).  Returns ``(decoded, SynthesisReport | None)``.
+    def summarize(self, recorded):
+        """The analysis front half shared by every entry point: decode
+        the recording (:meth:`decode`) and re-execute each thread
+        symbolically, from the snapshot's frames when the recording was
+        checkpointed.  Returns ``(summaries, SynthesisReport | None)``.
         """
+        decoded, synthesis = self.decode(recorded)
+        summaries = execute_recorded_paths(
+            self.program,
+            decoded,
+            self.shared,
+            bug=recorded.bug,
+            checkpoint=getattr(recorded, "checkpoint", None),
+        )
+        return summaries, synthesis
+
+    def decode(self, recorded):
+        """Per-thread decoded paths of a recording.
+
+        A flight-recorder recording decodes each thread against its
+        eviction-horizon anchor; threads that lost tokens get a
+        synthesized prefix grafted on (refusing — via :class:`ClapError`
+        — when the suffix cannot be grounded in any legal prefix).  Any
+        other recording decodes plainly.  Returns
+        ``(decoded, SynthesisReport | None)``.
+        """
+        ring = getattr(recorded, "ring", None)
+        if not ring:
+            return decode_log(recorded.recorder), None
         from repro.store.synthesize import (
             PrefixSynthesisError,
             synthesize_prefixes,
@@ -367,7 +432,7 @@ class ClapPipeline:
                 recorder.func_names,
                 anchor=anchor,
             )
-        if not lossy:
+        if not getattr(recorded, "lossy", False):
             return decoded, None
         try:
             synthesis = synthesize_prefixes(
@@ -465,13 +530,16 @@ class ClapPipeline:
 
     # -- phase 3 ----------------------------------------------------------
 
-    def replay(self, schedule, expected_bug):
+    def replay(self, schedule, expected_bug, checkpoint=None):
+        """Enforce ``schedule``; a checkpointed recording's suffix
+        schedule replays from its restored snapshot."""
         return replay_schedule(
             self.program,
             schedule,
             memory_model=self.config.memory_model,
             shared=self.shared,
             expected_bug=expected_bug,
+            checkpoint=checkpoint,
         )
 
     # -- all together -------------------------------------------------------
@@ -577,7 +645,11 @@ class ClapPipeline:
                 report.solver_detail["portfolio"] = solved.portfolio
 
         t0 = time.monotonic()
-        outcome = self.replay(solved.schedule, recorded.bug)
+        outcome = self.replay(
+            solved.schedule,
+            recorded.bug,
+            checkpoint=getattr(recorded, "checkpoint", None),
+        )
         report.time_replay = time.monotonic() - t0
         report.reproduced = outcome.reproduced
         if not outcome.reproduced:

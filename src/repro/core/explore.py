@@ -34,15 +34,12 @@ from repro.minilang import compile_source
 from repro.minilang.compiler import CompiledProgram
 from repro.analysis.static_race import find_bug_patterns, robustness_patterns
 from repro.analysis.symbolic import free_syms, mk_binop, mk_not
-from repro.analysis.symexec import execute_recorded_paths
 from repro.constraints.encoder import assign_atom_numbering, encode
 from repro.constraints.model import Clause, Lit, OLt, SWChoice
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.runtime import events as ev
 from repro.runtime.memory import MEMORY_MODELS, PSO, SC, TSO
 from repro.runtime.replay import ReplayError, replay_schedule
-from repro.solver.smt import solve_constraints_bounded
-from repro.tracing.decoder import decode_log
 from repro.tracing.recorder import PathRecorder
 
 # Version of the `repro explore --json` payload (golden-file tested).
@@ -76,7 +73,7 @@ class ExploreConfig:
     stickiness: float = 0.5
     flush_prob: float = 0.25
     max_steps: int = 2_000_000
-    # Context-switch bound ladder (forwarded to solve_constraints_bounded).
+    # Context-switch bound ladder (the pipeline's in-process smt-inc).
     max_cs: int = 6
     smt_max_seconds: float | None = None
     # Thread bounding: cap on (span instance x remote site) combinations
@@ -94,6 +91,8 @@ class ExploreConfig:
             max_steps=self.max_steps,
             max_cs=self.max_cs,
             smt_max_seconds=self.smt_max_seconds,
+            solver="smt-inc",
+            workers=0,
         )
 
 
@@ -235,10 +234,7 @@ class ExploreDriver:
             recorded = self.pipeline.record_once(seed)
             if recorded.result.bug is not None:
                 continue  # a failing run: plain CLAP handles those
-            decoded = decode_log(recorded.recorder)
-            summaries = execute_recorded_paths(
-                self.program, decoded, self.pipeline.shared, bug=None
-            )
+            summaries, _ = self.pipeline.summarize(recorded)
             run = _PassingRun(seed=seed, recorded=recorded, summaries=summaries)
             self._runs.append(run)
             yield run
@@ -477,11 +473,7 @@ class ExploreDriver:
             if self._pin_reads(system, run, pred, cond) == 0:
                 return None  # identical to rung 1; skip
         out.attempts += 1
-        res = solve_constraints_bounded(
-            system,
-            max_cs=self.config.max_cs,
-            max_seconds=self.config.smt_max_seconds,
-        )
+        res = self.pipeline.solve(system)
         out.schedules_enumerated += res.iterations
         if not res.ok:
             return None

@@ -41,7 +41,12 @@ from repro.fleet.cluster import cluster_material, cluster_signature, path_multis
 from repro.runtime.events import BugReport
 from repro.runtime.memory import MEMORY_MODELS
 from repro.store.corpus import _RECORD_PARAMS, _sha256
-from repro.tracing.logfmt import TraceDecodeError, decode_tokens, encode_tokens
+from repro.tracing.logfmt import (
+    MAX_STREAM_TOKENS,
+    TraceDecodeError,
+    decode_tokens,
+    encode_tokens,
+)
 
 REPORT_FORMAT = 1
 
@@ -181,14 +186,18 @@ def validate_report(report):
     if not isinstance(raw_logs, dict) or not raw_logs:
         raise GatewayError("report has no recorded token streams")
     logs = {}
+    # One run's threads share its step budget, so the token cap bounds
+    # the whole report, not each stream alone.
+    budget = MAX_STREAM_TOKENS
     for thread, blob in raw_logs.items():
         _typed(blob, str, "thread %r token stream" % thread)
         try:
-            logs[thread] = decode_tokens(bytes.fromhex(blob))
+            logs[thread] = decode_tokens(bytes.fromhex(blob), max_tokens=budget)
         except (ValueError, TraceDecodeError) as exc:
             raise GatewayError(
                 "thread %r: undecodable token stream: %s" % (thread, exc)
             ) from exc
+        budget -= len(logs[thread])
     record = _typed(report.get("record"), dict | None, "record") or {}
     params = {
         key: _typed(record[key], _CONFIG_TYPES[key], "record.%s" % key)

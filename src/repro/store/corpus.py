@@ -142,7 +142,7 @@ class StoredExecution:
         # RecoveryReport when the container needed crash recovery.
         self.recovery = recovery
         # Flight-recorder metadata from the manifest (anchors as JSON
-        # dicts — ClapPipeline._decode_ring revives them); None for
+        # dicts — ClapPipeline.decode revives them); None for
         # classic complete recordings.
         self.ring = ring
         self.ring_sink = None

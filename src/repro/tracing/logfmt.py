@@ -48,9 +48,17 @@ TAG_PARTIAL = 3
 # which the paper's log sizes rely on.
 TAG_REPEAT = 4
 # ("resume", func_id, block, ip): an open activation resumed after a
-# checkpoint; its first path token decodes from ``block`` (see the
-# checkpointing extension in repro.core.checkpoint).
+# checkpoint; its first path token decodes from ``block`` (see
+# ``checkpoint_steps`` in repro.core.clap.ClapPipeline.record_once).
 TAG_RESUME = 5
+
+# Cap on the tokens one stream may decode to.  Every path token costs the
+# recorded run at least one interpreter step, and a run stops at its step
+# budget (``ClapConfig.max_steps``, 2,000,000 by default, shared by all
+# its threads), so a real recording stays far below it.  Only a corrupt or
+# hostile REPEAT count reaches it: refusing such a count before the list
+# grows keeps a 12-byte blob from allocating gigabytes.
+MAX_STREAM_TOKENS = 1 << 24
 
 _TOKEN_TAGS = {
     "enter": TAG_ENTER,
@@ -141,11 +149,13 @@ def encode_tokens(tokens):
     return bytes(out)
 
 
-def decode_tokens(data):
+def decode_tokens(data, max_tokens=MAX_STREAM_TOKENS):
     """Decode bytes produced by :func:`encode_tokens`.
 
-    Raises :class:`TraceDecodeError` on an unknown tag byte or a truncated
-    stream; a valid prefix is never silently extended with garbage tokens.
+    Raises :class:`TraceDecodeError` on an unknown tag byte, a truncated
+    stream or a repeat count that would take the stream past
+    ``max_tokens``; a valid prefix is never silently extended with
+    garbage tokens.
     """
     tokens = []
     pos = 0
@@ -158,6 +168,12 @@ def decode_tokens(data):
         if tag == TAG_REPEAT:
             pid, pos = read_varint(data, pos)
             count, pos = read_varint(data, pos)
+            if len(tokens) + count > max_tokens:
+                raise TraceDecodeError(
+                    "repeat count %d at offset %d exceeds the cap of %d "
+                    "decoded tokens" % (count, tag_offset, max_tokens),
+                    offset=tag_offset,
+                )
             tokens.extend([("path", pid)] * count)
             continue
         if kind == "enter":

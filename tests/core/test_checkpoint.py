@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.checkpoint import (
-    CheckpointClapPipeline,
-    reproduce_with_checkpoints,
-)
-from repro.core.clap import ClapConfig
+from repro.core.clap import ClapConfig, ClapError, ClapPipeline
 from repro.minilang import compile_source
 from repro.runtime.checkpoint import (
     is_quiescent,
@@ -15,6 +11,9 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.interpreter import Interpreter, run_program
 from repro.runtime.scheduler import RandomScheduler
+from repro.store.cache import AnalysisCache
+from repro.store.container import ClapWriter
+from repro.tracing.recorder import StreamingTraceSink
 
 # A long-running program: a big racy warm-up phase, then the actual bug
 # near the end — exactly the shape checkpointing is for.
@@ -74,13 +73,17 @@ def test_snapshot_restore_roundtrip():
     assert result.aborted is None  # suffix runs to completion
 
 
+def _checkpointed_report(src, memory_model, checkpoint_steps, **kwargs):
+    pipe = ClapPipeline(src, ClapConfig(memory_model=memory_model, **kwargs))
+    recorded = pipe.record(checkpoint_steps=checkpoint_steps)
+    return pipe.reproduce_offline(recorded), recorded
+
+
 def test_checkpointed_recording_takes_checkpoints():
-    pipe = CheckpointClapPipeline(
-        compile_source(LONG_RACE_SRC),
-        ClapConfig(stickiness=0.35),
-        interval_steps=150,
+    pipe = ClapPipeline(
+        compile_source(LONG_RACE_SRC), ClapConfig(stickiness=0.35)
     )
-    recorded = pipe.record()
+    recorded = pipe.record(checkpoint_steps=150)
     assert recorded.bug is not None
     assert recorded.n_checkpoints >= 1, "warm-up must cross the interval"
     assert recorded.checkpoint is not None
@@ -97,13 +100,12 @@ def test_checkpointed_recording_takes_checkpoints():
 def test_suffix_is_smaller_than_full_trace():
     config = ClapConfig(stickiness=0.35)
     prog = compile_source(LONG_RACE_SRC)
-    full = CheckpointClapPipeline(prog, config, interval_steps=10**9)
-    cp = CheckpointClapPipeline(prog, config, interval_steps=150)
-    full_rec = full.record()
-    cp_rec = cp.record()
+    pipe = ClapPipeline(prog, config)
+    full_rec = pipe.record()
+    cp_rec = pipe.record(checkpoint_steps=150)
     assert cp_rec.n_checkpoints >= 1
-    full_system = full.analyze(full_rec)
-    suffix_system = cp.analyze(cp_rec)
+    full_system = pipe.analyze(full_rec)
+    suffix_system = pipe.analyze(cp_rec)
     assert len(suffix_system.saps) < len(full_system.saps) / 2, (
         "the suffix constraint system must be much smaller"
     )
@@ -111,21 +113,57 @@ def test_suffix_is_smaller_than_full_trace():
 
 @pytest.mark.parametrize("solver", ["smt", "genval"])
 def test_checkpointed_reproduction_end_to_end(solver):
-    outcome, recorded = reproduce_with_checkpoints(
+    report, recorded = _checkpointed_report(
         LONG_RACE_SRC,
         "sc",
-        interval_steps=150,
+        checkpoint_steps=150,
         stickiness=0.35,
         solver=solver,
     )
     assert recorded.n_checkpoints >= 1
-    assert outcome is not None, "solver failed on the suffix"
-    assert outcome.reproduced
+    assert report.schedule, "solver failed on the suffix: %s" % (
+        report.failure_reason
+    )
+    assert report.reproduced
 
 
 def test_checkpointed_reproduction_under_tso():
     src = LONG_RACE_SRC
-    outcome, recorded = reproduce_with_checkpoints(
-        src, "tso", interval_steps=150, stickiness=0.4, flush_prob=0.2,
+    report, recorded = _checkpointed_report(
+        src, "tso", checkpoint_steps=150, stickiness=0.4, flush_prob=0.2,
     )
-    assert outcome is not None and outcome.reproduced
+    assert report.schedule and report.reproduced
+
+
+def test_checkpointed_recording_bypasses_the_cache(tmp_path):
+    cache = AnalysisCache(str(tmp_path / "cache"))
+    pipe = ClapPipeline(LONG_RACE_SRC, ClapConfig(stickiness=0.35))
+    recorded = pipe.record(checkpoint_steps=150)
+    assert recorded.checkpoint is not None
+    report = pipe.reproduce_offline(recorded, cache=cache)
+    assert report.reproduced
+    assert report.cache_state == "bypass"
+    # Nothing was served or stored: the key hashes the logs, not the
+    # snapshot they resume from.
+    assert cache.stats.hits == cache.stats.misses == 0
+    assert cache.stats.bytes_written == 0
+    material = AnalysisCache.key_material(
+        pipe.program, recorded.recorder, "sc"
+    )
+    assert cache.load(material) is None
+
+
+def test_checkpoint_refuses_a_ring():
+    pipe = ClapPipeline(LONG_RACE_SRC, ClapConfig(ring_bytes=256))
+    with pytest.raises(ClapError, match="checkpoint"):
+        pipe.record_once(0, checkpoint_steps=150)
+
+
+def test_checkpoint_refuses_a_streaming_sink(tmp_path):
+    writer = ClapWriter(str(tmp_path / "trace.clap"))
+    pipe = ClapPipeline(LONG_RACE_SRC)
+    with pytest.raises(ClapError, match="checkpoint"):
+        pipe.record_once(
+            0, sink=StreamingTraceSink(writer), checkpoint_steps=150
+        )
+    writer.close()

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import random
 import threading
 
 import pytest
@@ -14,8 +15,10 @@ from repro.fleet import (
     request,
     validate_report,
 )
+from repro.fleet import gateway as gateway_module
 from repro.fleet.gateway import GatewayError
 from repro.minilang import compile_source
+from repro.tracing.logfmt import TAG_REPEAT, write_varint
 
 from tests.conftest import RACE_SRC
 from tests.fleet.conftest import race_variant, record_config
@@ -122,6 +125,155 @@ def test_ingest_rejects_mistyped_fields(fleet, race_report, mutate):
     assert gateway.counters["ingested"] == 0
     assert fleet.queue().depth() == 0
     assert fleet.stats()["entries"] == 0
+
+
+def _repeat_blob(count, pid=0):
+    """A token stream of one REPEAT record: ``("path", pid)`` x ``count``."""
+    out = bytearray([TAG_REPEAT])
+    write_varint(out, pid)
+    write_varint(out, count)
+    return bytes(out).hex()
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        # Found by a seeded fuzz: 12 bytes whose count is 18,283,381,833.
+        "04fd45c988998e44c5231ebf",
+        _repeat_blob(2**40),
+        _repeat_blob(2**64),
+    ],
+    ids=["fuzz-found", "2**40", "2**64"],
+)
+def test_validate_report_refuses_oversized_repeat_counts(race_report, blob):
+    """A REPEAT count past the token cap is refused before anything is
+    allocated, and surfaces as a GatewayError."""
+    report = json.loads(json.dumps(race_report))
+    _set_first_log(report, blob)
+    with pytest.raises(GatewayError, match="undecodable"):
+        validate_report(report)
+
+
+def test_validate_report_caps_tokens_across_streams(race_report, monkeypatch):
+    """All threads of one run share its step budget, so two streams that
+    each fit the cap are refused together (a cap of 100 keeps the
+    allocation small)."""
+    monkeypatch.setattr(gateway_module, "MAX_STREAM_TOKENS", 100)
+    report = json.loads(json.dumps(race_report))
+    threads = sorted(report["logs"])
+    assert len(threads) >= 2
+    for thread in threads:
+        report["logs"][thread] = _repeat_blob(1)
+    validate_report(report)
+    for thread in threads[:2]:
+        report["logs"][thread] = _repeat_blob(60)
+    with pytest.raises(GatewayError, match="undecodable"):
+        validate_report(report)
+
+
+# -- seeded fuzz of validate_report ------------------------------------------
+
+_FUZZ_SEED = 20240617
+_FUZZ_CASES = 600
+
+_JUNK_VALUES = (
+    None, True, False, 0, -1, 1.5, 2**70, "", "x", "zz", [], [1], {}, {"a": 1},
+)
+
+
+def _nodes(value, path=()):
+    """Every (path, container) of dicts and lists inside ``value``."""
+    if isinstance(value, (dict, list)):
+        yield path, value
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _nodes(child, path + (key,))
+
+
+def _random_tokens(rng):
+    """Random, truncated or structurally plausible token bytes."""
+    choice = rng.randrange(4)
+    if choice == 0:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(24)))
+    out = bytearray()
+    for _ in range(rng.randrange(1, 6)):
+        tag = rng.randrange(7)
+        out.append(tag)
+        for _ in range(rng.randrange(4)):
+            # Small values mostly; sometimes a long (huge) varint.
+            write_varint(out, rng.choice((0, 1, 7, 300, 2**rng.randrange(80))))
+    if choice == 2 and out:
+        out = out[: rng.randrange(len(out))]  # truncated mid-record
+    return bytes(out)
+
+
+def _mutate(report, rng):
+    """Apply one random malformation to ``report``; returns a label."""
+    op = rng.randrange(7)
+    if op == 0:
+        return "whole report %r" % (rng.choice(_JUNK_VALUES),), rng.choice(
+            _JUNK_VALUES
+        )
+    nodes = [(p, n) for p, n in _nodes(report) if n]
+    if not nodes:
+        return "emptied", report
+    path, node = rng.choice(nodes)
+    key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+    if op == 1 and isinstance(node, dict):
+        # A truncated object: drop every key from this one on.
+        keys = list(node)
+        for k in keys[keys.index(key):]:
+            del node[k]
+        return "truncated %r at %r" % (path, key), report
+    if op == 2 and isinstance(node, dict):
+        del node[key]
+        return "dropped %r" % (path + (key,),), report
+    if op == 3:
+        node[key] = rng.choice(_JUNK_VALUES)
+        return "mistyped %r = %r" % (path + (key,), node[key]), report
+    if op == 4 and isinstance(node[key], str):
+        text = node[key]
+        node[key] = text[: rng.randrange(len(text) + 1)]
+        return "truncated string %r" % (path + (key,),), report
+    logs = report.get("logs")
+    if not isinstance(logs, dict) or not logs:
+        report["logs"] = rng.choice(_JUNK_VALUES)
+        return "logs = %r" % (report["logs"],), report
+    thread = rng.choice(sorted(logs))
+    if op == 5 and isinstance(logs[thread], str):
+        blob = logs[thread]
+        logs[thread] = blob[: rng.randrange(len(blob) + 1)]
+        return "truncated log %r" % thread, report
+    logs[thread] = _random_tokens(rng).hex()
+    return "random log %r" % thread, report
+
+
+def test_validate_report_fuzz(race_report):
+    """Seeded fuzz: every malformed, truncated or mistyped report either
+    validates or raises GatewayError; nothing else escapes."""
+    rng = random.Random(_FUZZ_SEED)
+    outcomes = {"ok": 0, "invalid": 0}
+    for case in range(_FUZZ_CASES):
+        report = json.loads(json.dumps(race_report))
+        labels = []
+        for _ in range(rng.randrange(1, 4)):
+            if not isinstance(report, dict):
+                break
+            label, report = _mutate(report, rng)
+            labels.append(label)
+        try:
+            validate_report(report)
+        except GatewayError:
+            outcomes["invalid"] += 1
+        except Exception as exc:  # the failure this test exists to catch
+            pytest.fail(
+                "fuzz case %d (seed %d): %s raised %s: %s"
+                % (case, _FUZZ_SEED, "; ".join(labels), type(exc).__name__, exc)
+            )
+        else:
+            outcomes["ok"] += 1
+    # The fuzz must exercise both verdicts to mean anything.
+    assert outcomes["ok"] > 0 and outcomes["invalid"] > 0, outcomes
 
 
 # -- offline ingest: dedup and backpressure --------------------------------

@@ -8,8 +8,10 @@ import random
 import pytest
 
 from repro.tracing.logfmt import (
+    MAX_STREAM_TOKENS,
     SEGMENT_MAGIC,
     SegmentAnchor,
+    TAG_REPEAT,
     TAG_RESUME,
     TraceDecodeError,
     decode_segment,
@@ -121,6 +123,23 @@ def test_repeat_truncated_mid_varint_raises_with_offset():
         with pytest.raises(TraceDecodeError) as err:
             decode_tokens(data[:cut])
         assert len(prefix) <= err.value.offset <= cut
+
+
+def test_repeat_count_past_the_token_cap_raises_with_offset():
+    """A REPEAT run that would take the stream past ``max_tokens`` is
+    refused at its tag, before the token list grows; a run that lands
+    exactly on the cap decodes."""
+    prefix = encode_tokens([("enter", 3), ("path", 1)])
+    data = prefix + encode_tokens([("path", 7)] * 8)
+    assert len(decode_tokens(data, max_tokens=10)) == 10
+    with pytest.raises(TraceDecodeError) as err:
+        decode_tokens(data, max_tokens=9)
+    assert err.value.offset == len(prefix)
+    # The default cap refuses a count no real run could have produced.
+    huge = bytes([TAG_REPEAT, 0]) + bytes([0xFF] * 5) + bytes([0x7F])
+    with pytest.raises(TraceDecodeError, match="exceeds the cap"):
+        decode_tokens(huge)
+    assert MAX_STREAM_TOKENS < 2**27
 
 
 def test_resume_truncated_mid_varint_raises_with_offset():
