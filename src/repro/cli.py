@@ -32,6 +32,34 @@ def _load_program(path):
     return compile_source(source, name=path)
 
 
+def _program_source(args):
+    """``(source, name)`` of ``args.program``; the name defaults to the
+    file's stem."""
+    with open(args.program) as fh:
+        source = fh.read()
+    stem = args.program.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    return source, args.name or stem
+
+
+def _run_config(args, ring=False, **extra):
+    """The ClapConfig of a recording command's run flags, plus its ring
+    flags when ``ring`` is set; ``extra`` sets further fields."""
+    from repro.core.clap import ClapConfig
+
+    if ring:
+        extra.update(
+            ring_bytes=args.ring_bytes,
+            ring_segment_bytes=args.ring_segment_bytes,
+        )
+    return ClapConfig(
+        memory_model=args.memory_model,
+        seeds=range(args.max_seeds),
+        stickiness=args.stickiness,
+        flush_prob=args.flush_prob,
+        **extra,
+    )
+
+
 def cmd_run(args):
     from repro.runtime.interpreter import run_program
 
@@ -60,17 +88,10 @@ def cmd_run(args):
 
 
 def cmd_record(args):
-    from repro.core.clap import ClapConfig, ClapPipeline
+    from repro.core.clap import ClapPipeline
 
     program = _load_program(args.program)
-    config = ClapConfig(
-        memory_model=args.memory_model,
-        seeds=range(args.max_seeds),
-        stickiness=args.stickiness,
-        flush_prob=args.flush_prob,
-        ring_bytes=args.ring_bytes,
-        ring_segment_bytes=args.ring_segment_bytes,
-    )
+    config = _run_config(args, ring=True)
     pipeline = ClapPipeline(program, config)
     recorded = pipeline.record()
     print("failure:", recorded.bug)
@@ -156,18 +177,11 @@ def _report_payload(report):
 
 
 def cmd_reproduce(args):
-    from repro.core.clap import ClapConfig, ClapPipeline
+    from repro.core.clap import ClapPipeline
 
     program = _load_program(args.program)
-    config = ClapConfig(
-        memory_model=args.memory_model,
-        solver=args.solver,
-        seeds=range(args.max_seeds),
-        stickiness=args.stickiness,
-        flush_prob=args.flush_prob,
-        workers=args.workers,
-        ring_bytes=args.ring_bytes,
-        ring_segment_bytes=args.ring_segment_bytes,
+    config = _run_config(
+        args, ring=True, solver=args.solver, workers=args.workers
     )
     report = ClapPipeline(program, config).reproduce()
     if args.json:
@@ -365,17 +379,10 @@ def cmd_disasm(args):
 def cmd_trace(args):
     import zlib
 
-    from repro.core.clap import ClapConfig, ClapPipeline
+    from repro.core.clap import ClapPipeline
 
     program = _load_program(args.program)
-    config = ClapConfig(
-        memory_model=args.memory_model,
-        seeds=range(args.max_seeds),
-        stickiness=args.stickiness,
-        flush_prob=args.flush_prob,
-        ring_bytes=args.ring_bytes,
-        ring_segment_bytes=args.ring_segment_bytes,
-    )
+    config = _run_config(args, ring=True)
     pipeline = ClapPipeline(program, config)
     recorded = pipeline.record() if args.buggy else pipeline.record_once(args.seed)
     decoded, _ = pipeline.decode(recorded)
@@ -474,44 +481,33 @@ def cmd_litmus(args):
 
 
 def cmd_corpus_add(args):
-    from repro.core.clap import ClapConfig
     from repro.store import Corpus
 
-    with open(args.program) as fh:
-        source = fh.read()
-    name = args.name or args.program.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    config = ClapConfig(
-        memory_model=args.memory_model,
-        seeds=range(args.max_seeds),
-        stickiness=args.stickiness,
-        flush_prob=args.flush_prob,
-        ring_bytes=args.ring_bytes,
-        ring_segment_bytes=args.ring_segment_bytes,
-    )
+    source, name = _program_source(args)
+    config = _run_config(args, ring=True)
     corpus = Corpus.open_or_create(args.corpus)
     entry = corpus.add(
         source, name=name, config=config, flush_every=args.flush_every
     )
-    stats = entry.manifest["stats"]
-    print("added %s" % entry.entry_id)
+    row = _entry_row(entry)
+    print("added %s" % row["entry_id"])
     print(
         "  seed=%d threads=%d saps=%d log=%dB trace=%dB"
         % (
-            entry.manifest["record"]["seed"],
-            len(stats["thread_names"]),
-            stats["n_saps"],
-            stats["log_bytes"],
+            row["seed"],
+            row["threads"],
+            row["saps"],
+            row["log_bytes"],
             os.path.getsize(entry.trace_path),
         )
     )
-    ring = entry.manifest.get("ring")
-    if ring:
+    if row["ring"]:
         print(
             "  ring: %dB/thread budget%s"
             % (
-                ring.get("ring_bytes") or 0,
+                config.ring_bytes,
                 "  [lossy: prefix evicted, reproduction will synthesize]"
-                if ring.get("lossy")
+                if row["lossy"]
                 else "",
             )
         )
@@ -519,7 +515,7 @@ def cmd_corpus_add(args):
 
 
 def _entry_row(entry, shard=None):
-    """One machine-readable listing row for ``corpus ls --json``."""
+    """One listing row of ``corpus ls`` and ``fleet ls`` (text or JSON)."""
     manifest = entry.manifest
     stats = manifest.get("stats", {})
     fleet_info = manifest.get("fleet") or {}
@@ -548,37 +544,32 @@ def cmd_corpus_ls(args):
     from repro.store import Corpus
 
     corpus = Corpus.open(args.corpus)
-    entries = corpus.entries()
-    if getattr(args, "json", False):
-        print(json.dumps([_entry_row(e) for e in entries], indent=2))
+    rows = [_entry_row(entry) for entry in corpus.entries()]
+    if args.json:
+        print(json.dumps(rows, indent=2))
         return 0
-    if not entries:
+    if not rows:
         print("(empty corpus)")
         return 0
-    for entry in entries:
-        manifest = entry.manifest
-        stats = manifest.get("stats", {})
-        provenance = manifest.get("provenance") or {}
+    for row in rows:
+        provenance = row["provenance"]
         origin = ""
         if provenance.get("mode") == "explore":
             origin = "  [explore %s]" % provenance.get("code", "?")
         print(
-            "%-28s %-10s %-4s seed=%-4d threads=%d saps=%-4d %s%s%s"
+            "%-28s %-10s %-4s seed=%-4d threads=%d saps=%-4d %s%s%s%s"
             % (
-                entry.entry_id,
-                manifest["program"]["name"],
-                manifest["record"].get("memory_model", "sc"),
-                manifest["record"]["seed"],
-                len(stats.get("thread_names", [])),
-                stats.get("n_saps", 0),
-                manifest.get("bug", {}).get("message", ""),
+                row["entry_id"],
+                row["program"],
+                row["memory_model"],
+                row["seed"],
+                row["threads"],
+                row["saps"],
+                row["bug"].get("message", ""),
                 origin,
-                "  [recovered]" if manifest.get("recovered") else "",
-            )
-            + (
-                "  [ring lossy]"
-                if (manifest.get("ring") or {}).get("lossy")
-                else ("  [ring]" if manifest.get("ring") else "")
+                "  [recovered]" if row["recovered"] else "",
+                "  [ring lossy]" if row["lossy"]
+                else "  [ring]" if row["ring"] else "",
             )
         )
     return 0
@@ -681,19 +672,9 @@ def cmd_fleet_init(args):
 
 
 def cmd_fleet_add(args):
-    from repro.core.clap import ClapConfig
-
     fleet = _open_fleet(args)
-    with open(args.program) as fh:
-        source = fh.read()
-    name = args.name or args.program.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    config = ClapConfig(
-        memory_model=args.memory_model,
-        seeds=range(args.max_seeds),
-        stickiness=args.stickiness,
-        flush_prob=args.flush_prob,
-    )
-    outcome = fleet.add(source, name=name, config=config)
+    source, name = _program_source(args)
+    outcome = fleet.add(source, name=name, config=_run_config(args))
     print(
         "%s shard=%d entry=%s cluster=%s"
         % (

@@ -110,6 +110,11 @@ class RecordedExecution:
     # the recorder's logs then hold only the suffix after it.
     checkpoint: object = None
     n_checkpoints: int = 0
+    # The memory model the run was recorded (or replay-validated) under;
+    # reproduce_offline refuses a pipeline configured for another.
+    memory_model: str | None = None
+    # Names an execution loaded from a corpus entry in errors.
+    entry_id = None
 
     @property
     def bug(self):
@@ -276,6 +281,7 @@ class ClapPipeline:
             ring_sink=ring_sink,
             checkpoint=state["checkpoint"],
             n_checkpoints=state["count"],
+            memory_model=cfg.memory_model,
         )
 
     def record(self, checkpoint_steps=None):
@@ -315,8 +321,8 @@ class ClapPipeline:
         """
         if timings is None:
             timings = {}
-        lossy = bool(getattr(recorded, "lossy", False))
-        checkpoint = getattr(recorded, "checkpoint", None)
+        lossy = recorded.lossy
+        checkpoint = recorded.checkpoint
         material = None
         if cache is not None and (lossy or checkpoint is not None):
             # A suffix log's analysis depends on the anchors and the
@@ -392,7 +398,7 @@ class ClapPipeline:
             decoded,
             self.shared,
             bug=recorded.bug,
-            checkpoint=getattr(recorded, "checkpoint", None),
+            checkpoint=recorded.checkpoint,
         )
         return summaries, synthesis
 
@@ -406,14 +412,13 @@ class ClapPipeline:
         other recording decodes plainly.  Returns
         ``(decoded, SynthesisReport | None)``.
         """
-        ring = getattr(recorded, "ring", None)
+        ring = recorded.ring
         if not ring:
             return decode_log(recorded.recorder), None
         from repro.store.synthesize import (
             PrefixSynthesisError,
             synthesize_prefixes,
         )
-        from repro.tracing.logfmt import SegmentAnchor
 
         recorder = recorded.recorder
         threads = ring.get("threads", {})
@@ -421,8 +426,6 @@ class ClapPipeline:
         for thread_name, tokens in recorder.logs.items():
             info = threads.get(thread_name) or {}
             anchor = info.get("anchor")
-            if isinstance(anchor, dict):
-                anchor = SegmentAnchor.from_json(anchor)
             if anchor is not None and not anchor.frames:
                 anchor = None
             decoded[thread_name] = decode_thread_tokens(
@@ -432,7 +435,7 @@ class ClapPipeline:
                 recorder.func_names,
                 anchor=anchor,
             )
-        if not getattr(recorded, "lossy", False):
+        if not recorded.lossy:
             return decoded, None
         try:
             synthesis = synthesize_prefixes(
@@ -470,22 +473,17 @@ class ClapPipeline:
     @staticmethod
     def _recorder_metrics(recorded):
         """JSON-ready recorder counters for reports (empty for classic)."""
-        ring = getattr(recorded, "ring", None)
+        ring = recorded.ring
         if not ring:
             return {}
-        threads = {}
-        for name, info in sorted(ring.get("threads", {}).items()):
-            entry = dict(info)
-            anchor = entry.pop("anchor", None)
-            if anchor is not None and hasattr(anchor, "to_json"):
-                entry["anchor"] = anchor.to_json()
-            elif anchor is not None:
-                entry["anchor"] = anchor
-            threads[name] = entry
+        threads = {
+            name: dict(info, anchor=info["anchor"].to_json())
+            for name, info in sorted(ring.get("threads", {}).items())
+        }
         return {
             "ring_bytes": ring.get("ring_bytes"),
             "segment_bytes": ring.get("segment_bytes"),
-            "lossy": bool(getattr(recorded, "lossy", False)),
+            "lossy": recorded.lossy,
             "segments_written": sum(
                 t.get("segments_written", 0) for t in threads.values()
             ),
@@ -559,9 +557,9 @@ class ClapPipeline:
     def reproduce_offline(self, recorded, report=None, cache=None):
         """Phases 2+3 only: reproduce from an already recorded execution.
 
-        ``recorded`` is anything shaped like :class:`RecordedExecution` —
-        in particular a :class:`repro.store.corpus.StoredExecution` loaded
-        from a ``.clap`` container on disk, which is how the batch service
+        ``recorded`` is a :class:`RecordedExecution` — live, or a
+        :class:`repro.store.corpus.StoredExecution` loaded from a
+        ``.clap`` container on disk, which is how the batch service
         reproduces failures long after the recording process is gone.
         ``cache`` (an :class:`repro.store.cache.AnalysisCache`) lets the
         analysis phase skip symexec + encode on content-address hits.
@@ -570,18 +568,15 @@ class ClapPipeline:
         validated under TSO only reproduces under TSO semantics, so a
         mismatch with this pipeline's configured model is refused.
         """
-        recorded_model = getattr(recorded, "memory_model", None)
-        if recorded_model is not None and (
-            recorded_model != self.config.memory_model
-        ):
+        if recorded.memory_model not in (None, self.config.memory_model):
             raise ClapError(
                 "recording %s was made under memory model %r but this "
                 "pipeline is configured for %r; re-open it with a matching "
                 "--memory-model (witness schedules are only valid under "
                 "the model they were replay-validated on)"
                 % (
-                    getattr(recorded, "entry_id", "<in-memory>"),
-                    recorded_model,
+                    recorded.entry_id or "<in-memory>",
+                    recorded.memory_model,
                     self.config.memory_model,
                 )
             )
@@ -648,7 +643,7 @@ class ClapPipeline:
         outcome = self.replay(
             solved.schedule,
             recorded.bug,
-            checkpoint=getattr(recorded, "checkpoint", None),
+            checkpoint=recorded.checkpoint,
         )
         report.time_replay = time.monotonic() - t0
         report.reproduced = outcome.reproduced

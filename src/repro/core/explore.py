@@ -40,6 +40,7 @@ from repro.core.clap import ClapConfig, ClapPipeline
 from repro.runtime import events as ev
 from repro.runtime.memory import MEMORY_MODELS, PSO, SC, TSO
 from repro.runtime.replay import ReplayError, replay_schedule
+from repro.store.corpus import run_stats
 from repro.tracing.recorder import PathRecorder
 
 # Version of the `repro explore --json` payload (golden-file tested).
@@ -510,8 +511,9 @@ class ExploreDriver:
         if corpus is not None and self.source is not None:
             entry = corpus.add_recorded(
                 self.source,
-                recorder,
-                outcome.result,
+                recorder.logs,
+                bug,
+                run_stats(outcome.result, recorder),
                 name=self.program.name,
                 config=dataclasses.replace(
                     self.pipeline.config, memory_model=model

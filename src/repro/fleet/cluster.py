@@ -89,26 +89,14 @@ def profile_similarity(logs_a, logs_b):
 def cluster_material(program_sha, memory_model, bug, logs):
     """The canonical key material a cluster signature hashes.
 
-    ``bug`` is a :class:`~repro.runtime.events.BugReport` (or a dict with
-    the same fields).  Everything that decides whether one solved
-    schedule serves both reports is in here; nothing else is.
+    ``bug`` is a :class:`~repro.runtime.events.BugReport`.  Everything
+    that decides whether one solved schedule serves both reports is in
+    here; nothing else is.
     """
-    if not isinstance(bug, dict):
-        bug = {
-            "kind": bug.kind,
-            "message": bug.message,
-            "thread": bug.thread,
-            "line": bug.line,
-        }
     return {
         "program": program_sha,
         "memory_model": memory_model,
-        "bug": {
-            "kind": bug.get("kind", ""),
-            "message": bug.get("message", ""),
-            "thread": bug.get("thread", ""),
-            "line": bug.get("line", 0),
-        },
+        "bug": bug.to_json(),
         "profiles": profile_digests(logs),
     }
 

@@ -37,10 +37,10 @@ import socket
 import threading
 
 from repro.core.clap import ClapConfig
-from repro.fleet.cluster import cluster_material, cluster_signature, path_multiset
+from repro.fleet.cluster import path_multiset
 from repro.runtime.events import BugReport
 from repro.runtime.memory import MEMORY_MODELS
-from repro.store.corpus import _RECORD_PARAMS, _sha256
+from repro.store import corpus
 from repro.tracing.logfmt import (
     MAX_STREAM_TOKENS,
     TraceDecodeError,
@@ -53,6 +53,9 @@ REPORT_FORMAT = 1
 # Solve-queue depth at which novel reports start bouncing.
 DEFAULT_MAX_QUEUE_DEPTH = 256
 
+# Longest request line the server reads (asyncio's default stream limit).
+MAX_LINE_BYTES = 2**16
+
 
 class GatewayError(Exception):
     """A malformed or unacceptable crash report."""
@@ -61,70 +64,39 @@ class GatewayError(Exception):
 # -- report construction ---------------------------------------------------
 
 
-def report_from_recorded(source, name, config, recorded):
-    """Build the wire-format crash report for a local recording.
+def _report(sections, recorded, ring):
+    """A wire report: the failure record's sections, the recording's
+    token streams hex-encoded and, for a flight recording, its ``ring``
+    section."""
+    report = dict(sections, format=REPORT_FORMAT, logs={
+        thread: encode_tokens(tokens).hex()
+        for thread, tokens in recorded.recorder.logs.items()
+    })
+    if ring is not None:
+        report["ring"] = ring
+    return report
 
-    ``recorded`` is a :class:`~repro.core.clap.RecordedExecution` (or
-    anything with ``.recorder.logs``, ``.bug``, ``.seed``, ``.result``).
-    """
-    bug = recorded.bug
-    if bug is None:
+
+def report_from_recorded(source, name, config, recorded):
+    """Build the wire-format crash report for a local recording
+    (a :class:`~repro.core.clap.RecordedExecution`)."""
+    if recorded.bug is None:
         raise GatewayError("refusing to report an execution with no failure")
-    result = recorded.result
-    return {
-        "format": REPORT_FORMAT,
-        "program": {
-            "name": name or "program",
-            "source": source,
-            "sha256": _sha256(source),
-        },
-        "record": dict(
-            {key: getattr(config, key) for key in _RECORD_PARAMS},
-            seed=recorded.seed,
-        ),
-        "bug": {
-            "kind": bug.kind,
-            "message": bug.message,
-            "thread": bug.thread,
-            "line": bug.line,
-        },
-        "logs": {
-            thread: encode_tokens(tokens).hex()
-            for thread, tokens in recorded.recorder.logs.items()
-        },
-        "stats": {
-            "thread_names": sorted(result.thread_names.values()),
-            "n_instructions": result.total_instructions(),
-            "n_branches": result.total_branches(),
-            "n_saps": result.total_saps(),
-            "instrumentation_ops": getattr(
-                recorded.recorder, "instrumentation_ops", 0
-            ),
-        },
-    }
+    sections = corpus.failure_record(
+        source, name or "program", config, recorded.seed, recorded.bug,
+        corpus.run_stats(recorded.result, recorded.recorder),
+    )
+    ring = recorded.ring and corpus.ring_section(recorded.ring)
+    return _report(sections, recorded, ring)
 
 
 def report_from_entry(entry):
     """Build a crash report from a stored corpus entry (for re-ingest)."""
     manifest = entry.manifest
-    stored = entry.load_execution()
-    record = {
-        key: manifest["record"][key]
-        for key in _RECORD_PARAMS
-        if key in manifest["record"]
+    sections = {
+        key: dict(manifest[key]) for key in ("program", "record", "bug", "stats")
     }
-    record["seed"] = manifest["record"].get("seed", -1)
-    return {
-        "format": REPORT_FORMAT,
-        "program": dict(manifest["program"]),
-        "record": record,
-        "bug": dict(manifest["bug"]),
-        "logs": {
-            thread: encode_tokens(tokens).hex()
-            for thread, tokens in stored.recorder.logs.items()
-        },
-        "stats": dict(manifest.get("stats", {})),
-    }
+    return _report(sections, entry.load_execution(), manifest.get("ring"))
 
 
 # Type of each ClapConfig field, for the report's record parameters.
@@ -157,7 +129,8 @@ def validate_report(report):
     """Check a wire report and decode it; raises :class:`GatewayError`.
 
     Returns ``(source, name, config, logs, bug, stats, seed)`` ready for
-    :meth:`~repro.fleet.shards.ShardedCorpus.add_report`.
+    :meth:`~repro.fleet.shards.ShardedCorpus.add_report`; the optional
+    ``ring`` section is checked by :func:`validate_ring`.
     """
     if not isinstance(report, dict):
         raise GatewayError("report must be a JSON object")
@@ -170,18 +143,15 @@ def validate_report(report):
         raise GatewayError("report has no program source")
     source = _typed(program["source"], str, "program source")
     claimed = _typed(program.get("sha256"), str | None, "program sha256")
-    if claimed and claimed != _sha256(source):
+    if claimed and claimed != corpus.source_sha256(source):
         raise GatewayError("program source does not match its claimed hash")
     name = _typed(program.get("name"), str | None, "program name")
     bug_raw = report.get("bug")
     if not isinstance(bug_raw, dict) or not bug_raw.get("kind"):
         raise GatewayError("report has no failure — nothing to reproduce")
-    bug = BugReport(
-        kind=_typed(bug_raw["kind"], str, "bug.kind"),
-        message=_typed(bug_raw.get("message", ""), str, "bug.message"),
-        thread=_typed(bug_raw.get("thread", ""), str, "bug.thread"),
-        line=_typed(bug_raw.get("line", 0), int, "bug.line"),
-    )
+    bug = BugReport.from_json(bug_raw)
+    for field in dataclasses.fields(bug):
+        _typed(getattr(bug, field.name), field.type, "bug.%s" % field.name)
     raw_logs = report.get("logs")
     if not isinstance(raw_logs, dict) or not raw_logs:
         raise GatewayError("report has no recorded token streams")
@@ -198,10 +168,14 @@ def validate_report(report):
                 "thread %r: undecodable token stream: %s" % (thread, exc)
             ) from exc
         budget -= len(logs[thread])
+    try:
+        corpus.check_storable(bug, logs)
+    except corpus.CorpusError as exc:
+        raise GatewayError(str(exc)) from exc
     record = _typed(report.get("record"), dict | None, "record") or {}
     params = {
         key: _typed(record[key], _CONFIG_TYPES[key], "record.%s" % key)
-        for key in _RECORD_PARAMS
+        for key in corpus.RECORD_PARAMS
         if key in record
     }
     if params.get("memory_model", "sc") not in MEMORY_MODELS:
@@ -211,11 +185,46 @@ def validate_report(report):
         )
     seed = _typed(record.get("seed", -1), int, "record.seed")
     stats = _typed(report.get("stats"), dict | None, "stats") or {}
-    for key, expected in _STATS_TYPES.items():
-        if key in stats:
-            _typed(stats[key], expected, "stats.%s" % key)
+    stats = {
+        key: _typed(stats[key], expected, "stats.%s" % key)
+        for key, expected in _STATS_TYPES.items()
+        if key in stats
+    }
     config = ClapConfig(**params)
     return source, name or "program", config, logs, bug, stats, seed
+
+
+def validate_ring(report, logs):
+    """Check a validated report's optional ``ring`` section (a flight
+    recording's suffix metadata) against its streams ``logs``; returns
+    the ring snapshot with its anchors revived, or None.  Every token,
+    evicted or not, cost the run a step, so the evicted counts (prefix
+    synthesis pads to them) share the report's token cap with ``logs``.
+    """
+    ring = _typed(report.get("ring"), dict | None, "ring")
+    if ring is None:
+        return None
+    threads = _typed(ring.get("threads", {}), dict, "ring.threads")
+    counts = [ring.get("ring_bytes") or 0, ring.get("segment_bytes") or 0]
+    for thread, info in threads.items():
+        anchor = _typed(_typed(info, dict, "ring thread").get("anchor"),
+                        dict, "ring anchor")
+        frames = _typed(anchor.get("frames", []), list, "ring anchor frames")
+        if thread not in logs or any(
+            not isinstance(frame, list) or len(frame) != 2 for frame in frames
+        ):
+            raise GatewayError("ring.threads[%r] is malformed" % thread)
+        counts += [value for key, value in info.items() if key != "anchor"]
+        counts += [value for key, value in anchor.items() if key != "frames"]
+        counts += sum(frames, [])
+    if any(_typed(value, int, "ring count") < 0 for value in counts):
+        raise GatewayError("ring section holds a negative count")
+    evicted = sum(info.get("evicted_tokens", 0) for info in threads.values())
+    if evicted + sum(map(len, logs.values())) > MAX_STREAM_TOKENS:
+        raise GatewayError(
+            "ring: more than %d recorded and evicted tokens" % MAX_STREAM_TOKENS
+        )
+    return corpus.revive_ring(ring)
 
 
 # -- the gateway -----------------------------------------------------------
@@ -257,15 +266,14 @@ class IngestGateway:
             source, name, config, logs, bug, stats, seed = validate_report(
                 report
             )
+            ring = validate_ring(report, logs)
         except GatewayError as exc:
             self.counters["invalid"] += 1
             return {"status": "invalid", "reason": str(exc)}
         self.counters["ingested"] += 1
-        program_sha = _sha256(source)
-        material = cluster_material(
-            program_sha, config.memory_model, bug, logs
+        _, _, material, signature = self.fleet.route(
+            source, config.memory_model, bug, logs
         )
-        signature = cluster_signature(material)
         registry = self.fleet.registry()
         novel = registry.get(signature) is None
         depth = self.fleet.queue().depth()
@@ -281,7 +289,7 @@ class IngestGateway:
                 "queue_depth": depth,
             }
         outcome = self.fleet.add_report(
-            source, name, config, logs, bug, stats=stats, seed=seed
+            source, name, config, logs, bug, stats=stats, seed=seed, ring=ring
         )
         self.counters[outcome["status"]] += 1
         outcome["queue_depth"] = self.fleet.queue().depth()
@@ -289,7 +297,7 @@ class IngestGateway:
             # Near-miss diagnostic: the closest same-program cluster by
             # path-profile similarity (never a merge — see fleet.cluster).
             nearest, similarity = registry.nearest(
-                program_sha, path_multiset(logs), exclude=signature
+                material["program"], path_multiset(logs), exclude=signature
             )
             if nearest is not None:
                 outcome["similar_to"] = nearest
@@ -335,7 +343,22 @@ class IngestGateway:
     async def _handle(self, reader, writer):
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF ends an unterminated line
+                except asyncio.LimitOverrunError:
+                    await self._answer(writer, {
+                        "ok": False,
+                        "error": "request line longer than %d bytes"
+                        % MAX_LINE_BYTES,
+                    })
+                    # Read the rest of the line before closing, so the
+                    # client sees the answer and an EOF, not a reset.
+                    while chunk := await reader.read(MAX_LINE_BYTES):
+                        if b"\n" in chunk:
+                            break
+                    break
                 if not line:
                     break
                 try:
@@ -350,18 +373,22 @@ class IngestGateway:
                             "ok": False,
                             "error": "%s: %s" % (type(exc).__name__, exc),
                         }
-                writer.write(
-                    (json.dumps(response, sort_keys=True) + "\n").encode(
-                        "utf-8"
-                    )
-                )
-                await writer.drain()
+                await self._answer(writer, response)
+        except ConnectionError:
+            pass  # the client went away; nothing to answer
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except Exception:
                 pass
+
+    @staticmethod
+    async def _answer(writer, response):
+        writer.write(
+            (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
+        )
+        await writer.drain()
 
     async def serve(self, host="127.0.0.1", port=0, ready=None,
                     drain_on_shutdown=True):
@@ -376,7 +403,9 @@ class IngestGateway:
         ``(results, aggregate)`` or ``(None, None)``.
         """
         self._stop = asyncio.Event()
-        server = await asyncio.start_server(self._handle, host, port)
+        server = await asyncio.start_server(
+            self._handle, host, port, limit=MAX_LINE_BYTES
+        )
         self.address = server.sockets[0].getsockname()[:2]
         if ready is not None:
             ready.set()

@@ -44,8 +44,7 @@ from repro.fleet.queue import DurableJobQueue
 from repro.minilang import compile_source
 from repro.store import durable
 from repro.store.cache import AnalysisCache, SharedAnalysisCache
-from repro.store.corpus import Corpus, _sha256, _StoredResult
-from repro.tracing.logfmt import encode_tokens
+from repro.store.corpus import Corpus, source_sha256
 
 FLEET_FORMAT = 1
 SHARD_MANIFEST_FORMAT = 1
@@ -57,17 +56,6 @@ DEFAULT_CACHE_BUDGET = 64 * 1024 * 1024
 
 class FleetError(Exception):
     """A structural problem with a fleet directory."""
-
-
-class _ReportRecorder:
-    """Duck-types a finalized PathRecorder for storage/fingerprinting."""
-
-    def __init__(self, logs, instrumentation_ops=0):
-        self.logs = logs
-        self.instrumentation_ops = instrumentation_ops
-
-    def log_size_bytes(self):
-        return sum(len(encode_tokens(tokens)) for tokens in self.logs.values())
 
 
 class ShardedCorpus:
@@ -211,7 +199,7 @@ class ShardedCorpus:
         """``entry``'s ``shard.json`` row, read off its manifest."""
         info = entry.manifest.get("fleet") or {}
         fingerprint = info.get("fingerprint") or AnalysisCache.trace_fingerprint(
-            entry.load_execution().recorder
+            entry.load_execution().recorder.logs
         )
         return {
             "fingerprint": fingerprint,
@@ -258,6 +246,14 @@ class ShardedCorpus:
             }
         }
 
+    def route(self, source, memory_model, bug, logs):
+        """Where a trace goes: ``(fingerprint, shard index, cluster
+        material, cluster signature)``."""
+        fingerprint = AnalysisCache.trace_fingerprint(logs)
+        material = cluster_material(source_sha256(source), memory_model, bug, logs)
+        signature = cluster_signature(material)
+        return fingerprint, self.shard_of(fingerprint), material, signature
+
     def add(self, source, name=None, config=None, flush_every=16):
         """Record one failure locally and store it routed by content hash.
 
@@ -271,15 +267,9 @@ class ShardedCorpus:
         program = compile_source(source, name=name)
         config = config or ClapConfig()
         recorded = ClapPipeline(program, config).record()
-        fingerprint = AnalysisCache.trace_fingerprint(recorded.recorder)
-        index = self.shard_of(fingerprint)
-        material = cluster_material(
-            _sha256(source),
-            config.memory_model,
-            recorded.bug,
-            recorded.recorder.logs,
+        fingerprint, index, material, signature = self.route(
+            source, config.memory_model, recorded.bug, recorded.recorder.logs
         )
-        signature = cluster_signature(material)
 
         corpus = self.shard(index)
         entry = corpus.add(
@@ -287,7 +277,8 @@ class ShardedCorpus:
             name=name,
             config=config,
             entry_id=corpus.free_entry_id(
-                "%s-s%d-%s" % (program.name, recorded.seed, _sha256(source)[:8])
+                "%s-s%d-%s"
+                % (program.name, recorded.seed, source_sha256(source)[:8])
             ),
             flush_every=flush_every,
             recorded=recorded,
@@ -299,32 +290,29 @@ class ShardedCorpus:
         )
 
     def add_report(self, source, name, config, logs, bug, stats=None,
-                   seed=-1, via="gateway"):
+                   seed=-1, via="gateway", ring=None):
         """Store an already-recorded crash report (the gateway's path).
 
         No re-execution happens — the report's logs are trusted as-is and
-        written straight into the routed shard's container.  Returns the
-        same outcome dict shape as :meth:`add`.
+        written straight into the routed shard's container; ``ring`` is
+        a flight recording's ring snapshot (see
+        :meth:`Corpus.add_recorded`).  Returns the same outcome dict
+        shape as :meth:`add`.
         """
-        recorder = _ReportRecorder(
-            logs, (stats or {}).get("instrumentation_ops", 0)
+        fingerprint, index, material, signature = self.route(
+            source, config.memory_model, bug, logs
         )
-        result = _StoredResult(bug, stats or {})
-        fingerprint = AnalysisCache.trace_fingerprint(recorder)
-        index = self.shard_of(fingerprint)
-        material = cluster_material(
-            _sha256(source), config.memory_model, bug, logs
-        )
-        signature = cluster_signature(material)
         entry = self.shard(index).add_recorded(
             source,
-            recorder,
-            result,
+            logs,
+            bug,
+            stats or {},
             name=name,
             config=config,
             tag="r" + signature[:8],
             seed=seed,
             provenance={"mode": via},
+            ring=ring,
             extra_manifest=self._fleet_stamp(index, signature, fingerprint),
         )
         return self._registered(

@@ -27,7 +27,7 @@ Data addresses are tuples: ``(var,)`` for scalars, ``(var, index)`` for
 array elements.  Sync addresses are the mutex/condvar name string.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 # SAP kind constants.
 READ = "read"
@@ -111,6 +111,17 @@ class BugReport:
             self.message,
             self.thread,
             self.line,
+        )
+
+    def to_json(self):
+        """The ``bug`` section of a failure record (manifest or report)."""
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(
+            obj.get("kind", "assertion"), obj.get("message", ""),
+            obj.get("thread", ""), obj.get("line", 0),
         )
 
     def same_failure(self, other):

@@ -11,10 +11,12 @@ the failure it records.  This package makes that durable:
 * :mod:`repro.store.recover` — turns that prefix back into a decodable
   trace: trims each thread's token stream to its last consistent event
   and synthesizes the ``partial`` tokens a crashed recorder never wrote.
-* :mod:`repro.store.corpus` — the corpus directory layout: one entry per
-  recorded failure (``trace.clap`` + ``manifest.json`` with program
-  source/hash, seed, schedule parameters, bug report and record-overhead
-  stats) plus add / load / verify / compact / recover operations.
+* :mod:`repro.store.corpus` — the failure record and the corpus layout:
+  one entry per recorded failure (``trace.clap`` + ``manifest.json``
+  with program source/hash, seed, schedule parameters, bug report and
+  record-overhead stats, the sections a fleet crash report shares) plus
+  add / load / verify / compact / recover operations.  A loaded entry is
+  a :class:`~repro.core.clap.RecordedExecution`.
 * :mod:`repro.store.cache` — the content-addressed analysis cache that
   lets ``repro batch`` re-runs skip symbolic execution and constraint
   encoding for (program, trace, memory model) keys already

@@ -68,17 +68,18 @@ class AnalysisCache:
         return hashlib.sha256(pickle.dumps(program)).hexdigest()
 
     @staticmethod
-    def trace_fingerprint(recorder):
+    def trace_fingerprint(logs):
         """Content hash over every thread's encoded token stream.
 
-        ``recorder`` is anything with a ``logs`` dict of per-thread token
-        lists — a live ``PathRecorder`` or a ``StoredTrace``.
+        ``logs`` maps each thread to its token list: a recorder's
+        ``logs`` (live, or loaded from a corpus entry) or an ingested
+        report's decoded streams.
         """
         digest = hashlib.sha256()
-        for thread in sorted(recorder.logs):
+        for thread in sorted(logs):
             digest.update(thread.encode("utf-8"))
             digest.update(b"\x00")
-            digest.update(encode_tokens(recorder.logs[thread]))
+            digest.update(encode_tokens(logs[thread]))
             digest.update(b"\x00")
         return digest.hexdigest()
 
@@ -86,7 +87,7 @@ class AnalysisCache:
     def key_material(cls, program, recorder, memory_model):
         return {
             "program": cls.program_fingerprint(program),
-            "trace": cls.trace_fingerprint(recorder),
+            "trace": cls.trace_fingerprint(recorder.logs),
             "memory_model": memory_model,
         }
 

@@ -15,6 +15,13 @@ and every scheduler parameter of the recorded run, so the batch service
 can recompile the program and reproduce the failure from disk alone —
 long after the recording process (and machine) is gone.
 
+This module is the one place that knows the *failure record*: the
+``program``, ``record``, ``bug`` and ``stats`` sections
+(:func:`failure_record`) that a manifest and a fleet crash report share,
+plus the optional ``ring`` section of a flight recording.  A loaded entry
+is a :class:`StoredExecution`, a
+:class:`~repro.core.clap.RecordedExecution` like a live recording.
+
 ``Corpus.add`` records twice on purpose: a first in-memory record finds
 the failing seed, then the same seed is re-run with a
 :class:`~repro.tracing.recorder.StreamingTraceSink` feeding a
@@ -31,10 +38,10 @@ import json
 import os
 import shutil
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 from repro.analysis.escape import shared_variables
-from repro.core.clap import ClapConfig, ClapPipeline
+from repro.core.clap import ClapConfig, ClapPipeline, RecordedExecution
 from repro.minilang import compile_source
 from repro.runtime.events import BugReport
 from repro.store import durable
@@ -47,16 +54,16 @@ from repro.store.container import (
 )
 from repro.store.recover import RecoveryReport, recover_tokens
 from repro.tracing.ball_larus import ProgramPaths
-from repro.tracing.logfmt import decode_tokens, encode_tokens
-from repro.tracing.recorder import StreamingTraceSink
+from repro.tracing.logfmt import SegmentAnchor, decode_tokens, encode_tokens
+from repro.tracing.recorder import PathRecorder, StreamingTraceSink
 
 CORPUS_FORMAT = 1
 MANIFEST_FORMAT = 1
 
-# ClapConfig fields a manifest persists; everything else (solver choice,
-# time budgets) is a *reproduction-time* decision, not a property of the
-# recorded execution.
-_RECORD_PARAMS = (
+# ClapConfig fields a failure record persists; everything else (solver
+# choice, time budgets) is a *reproduction-time* decision, not a property
+# of the recorded execution.
+RECORD_PARAMS = (
     "memory_model",
     "stickiness",
     "flush_prob",
@@ -67,26 +74,87 @@ _RECORD_PARAMS = (
     "ring_segment_bytes",
 )
 
-
 class CorpusError(Exception):
     """A structural problem with a corpus directory or entry."""
 
 
-def _sha256(text):
+def source_sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class StoredTrace:
-    """Duck-types a finalized PathRecorder for :func:`decode_log`."""
+# -- the failure record ------------------------------------------------------
 
-    def __init__(self, logs, paths, func_names):
-        self.logs = logs
-        self.paths = paths
-        self.func_names = func_names
 
-    def log_size_bytes(self):
-        return sum(
-            len(encode_tokens(tokens)) for tokens in self.logs.values()
+def run_stats(result, recorder):
+    """The ``stats`` section of a live run: ``result`` is its
+    ExecutionResult, ``recorder`` its finalized PathRecorder."""
+    return {
+        "thread_names": sorted(result.thread_names.values()),
+        "n_instructions": result.total_instructions(),
+        "n_branches": result.total_branches(),
+        "n_saps": result.total_saps(),
+        "instrumentation_ops": recorder.instrumentation_ops,
+    }
+
+
+def failure_record(source, name, config, seed, bug, stats):
+    """The ``program``, ``record``, ``bug`` and ``stats`` sections a
+    manifest and a wire crash report share."""
+    return {
+        "program": {
+            "name": name,
+            "source": source,
+            "sha256": source_sha256(source),
+        },
+        "record": dict(
+            {key: getattr(config, key) for key in RECORD_PARAMS},
+            seed=seed,
+        ),
+        "bug": bug.to_json(),
+        "stats": stats,
+    }
+
+
+def ring_section(ring):
+    """A recording's ring snapshot (:attr:`RecordedExecution.ring`,
+    anchors as :class:`SegmentAnchor`) as its JSON ``ring`` section."""
+    threads = {
+        thread: dict(info, anchor=info["anchor"].to_json())
+        for thread, info in ring.get("threads", {}).items()
+    }
+    return {
+        "ring_bytes": ring.get("ring_bytes"),
+        "segment_bytes": ring.get("segment_bytes"),
+        "lossy": any(
+            info.get("evicted_tokens", 0) > 0 for info in threads.values()
+        ),
+        "threads": threads,
+    }
+
+
+def revive_ring(section):
+    """The inverse of :func:`ring_section`: anchors back to objects."""
+    return dict(
+        section,
+        threads={
+            thread: dict(info, anchor=SegmentAnchor.from_json(info["anchor"]))
+            for thread, info in section.get("threads", {}).items()
+        },
+    )
+
+
+def check_storable(bug, logs, checkpoint=None):
+    """Refuse what no entry can reproduce: a run with no failure, or a
+    checkpointed run, whose ``resume`` streams need the snapshot they
+    resume from — and a snapshot is not a container chunk (yet)."""
+    if bug is None:
+        raise CorpusError("refusing to store a recording with no failure")
+    if checkpoint is not None or any(
+        token[0] == "resume" for tokens in logs.values() for token in tokens
+    ):
+        raise CorpusError(
+            "refusing to store a checkpointed recording: its logs resume "
+            "from a snapshot, and the corpus does not store snapshots"
         )
 
 
@@ -117,51 +185,16 @@ class _StoredResult:
         return self._stats.get("n_saps", 0)
 
 
-class StoredExecution:
-    """A recorded execution reloaded from a corpus entry.
+@dataclass
+class StoredExecution(RecordedExecution):
+    """A :class:`~repro.core.clap.RecordedExecution` reloaded from a
+    corpus entry: its recorder is a :class:`PathRecorder` holding the
+    stored streams, its result reads the manifest's stats."""
 
-    Shaped like :class:`repro.core.clap.RecordedExecution`, so it feeds
-    straight into :meth:`ClapPipeline.reproduce_offline`.
-    """
-
-    def __init__(self, entry_id, program, seed, bug, logs, paths, stats,
-                 recovery=None, memory_model=None, ring=None):
-        self.entry_id = entry_id
-        self.program = program
-        self.seed = seed
-        # Model the entry was recorded/validated under (None for legacy
-        # manifests); reproduce_offline refuses a mismatched pipeline.
-        self.memory_model = memory_model
-        self.shared = shared_variables(program)
-        func_ids = {
-            name: i for i, name in enumerate(sorted(program.functions))
-        }
-        func_names = {i: name for name, i in func_ids.items()}
-        self.recorder = StoredTrace(logs, paths, func_names)
-        self.result = _StoredResult(bug, stats)
-        # RecoveryReport when the container needed crash recovery.
-        self.recovery = recovery
-        # Flight-recorder metadata from the manifest (anchors as JSON
-        # dicts — ClapPipeline.decode revives them); None for
-        # classic complete recordings.
-        self.ring = ring
-        self.ring_sink = None
-
-    @property
-    def bug(self):
-        return self.result.bug
-
-    @property
-    def lossy(self):
-        if not self.ring:
-            return False
-        return any(
-            t.get("evicted_tokens", 0) > 0
-            for t in self.ring.get("threads", {}).values()
-        )
-
-    def log_size_bytes(self):
-        return self.recorder.log_size_bytes()
+    program: object = None
+    entry_id: str | None = None
+    # RecoveryReport when the container needed crash recovery.
+    recovery: object = None
 
 
 class CorpusEntry:
@@ -197,18 +230,11 @@ class CorpusEntry:
 
     def bug(self):
         raw = self.manifest.get("bug")
-        if raw is None:
-            return None
-        return BugReport(
-            kind=raw.get("kind", "assertion"),
-            message=raw.get("message", ""),
-            thread=raw.get("thread", ""),
-            line=raw.get("line", 0),
-        )
+        return None if raw is None else BugReport.from_json(raw)
 
     def compile_program(self):
         prog = self.manifest["program"]
-        if _sha256(prog["source"]) != prog["sha256"]:
+        if source_sha256(prog["source"]) != prog["sha256"]:
             raise CorpusError(
                 "entry %s: program source does not match its recorded hash"
                 % self.entry_id
@@ -219,7 +245,7 @@ class CorpusEntry:
         """ClapConfig kwargs reproducing this entry's recorded setup."""
         kwargs = {
             key: self.manifest["record"][key]
-            for key in _RECORD_PARAMS
+            for key in RECORD_PARAMS
             if key in self.manifest["record"]
         }
         kwargs.update(overrides)
@@ -237,7 +263,7 @@ class CorpusEntry:
         if not os.path.exists(self.trace_path):
             return False, ["trace.clap missing"]
         prog = manifest.get("program", {})
-        if _sha256(prog.get("source", "")) != prog.get("sha256"):
+        if source_sha256(prog.get("source", "")) != prog.get("sha256"):
             problems.append("program source hash mismatch")
         reader = ClapReader.open(self.trace_path)
         problems.extend(reader.problems)
@@ -253,7 +279,6 @@ class CorpusEntry:
         program = self.compile_program()
         paths = ProgramPaths.build(program)
         reader = ClapReader.open(self.trace_path)
-        bug = self.bug()
         ring = self.manifest.get("ring")
         if ring is None and any(c.flags & CHUNK_RING for c in reader.chunks):
             raise CorpusError(
@@ -271,17 +296,19 @@ class CorpusEntry:
                 "entry %s: damaged container: %s"
                 % (self.entry_id, "; ".join(reader.problems))
             )
+        recorder = PathRecorder(program, paths=paths)
+        recorder.logs = logs
         return StoredExecution(
-            entry_id=self.entry_id,
-            program=program,
             seed=self.manifest["record"]["seed"],
-            bug=bug,
-            logs=logs,
-            paths=paths,
-            stats=self.manifest.get("stats", {}),
-            recovery=recovery,
+            result=_StoredResult(self.bug(), self.manifest.get("stats", {})),
+            recorder=recorder,
+            shared=shared_variables(program),
+            ring=None if ring is None else revive_ring(ring),
+            # None for legacy manifests, which then load under any model.
             memory_model=self.manifest["record"].get("memory_model"),
-            ring=ring,
+            program=program,
+            entry_id=self.entry_id,
+            recovery=recovery,
         )
 
     def _recover_tokens(self, reader, program, paths):
@@ -453,14 +480,13 @@ class Corpus:
         t0 = time.monotonic()
         if recorded is None:
             recorded = pipeline.record()
-        elif recorded.bug is None:
-            raise CorpusError(
-                "refusing to store a recording with no observed failure"
-            )
         time_record = time.monotonic() - t0
+        check_storable(
+            recorded.bug, recorded.recorder.logs, recorded.checkpoint
+        )
         if entry_id is None:
             entry_id = "%s-s%d-%s" % (
-                program.name, recorded.seed, _sha256(source)[:8]
+                program.name, recorded.seed, source_sha256(source)[:8]
             )
 
         with self._new_entry(entry_id) as entry:
@@ -472,26 +498,22 @@ class Corpus:
             # segment — the container then holds exactly the suffix a
             # post-mortem reader would have found, and the manifest
             # carries the decode anchors.
-            ring_mode = getattr(config, "ring_bytes", None) is not None
             writer = ClapWriter(entry.trace_path)
             meta = {
                 "entry": entry_id,
                 "program": program.name,
                 "seed": recorded.seed,
             }
-            if ring_mode:
+            if config.ring_bytes is not None:
                 streamed = pipeline.record_once(recorded.seed)
                 ring_sink = streamed.ring_sink
-                for thread in sorted(
-                    set(ring_sink.threads()) | set(streamed.recorder.logs)
-                ):
+                for thread in ring_sink.threads():
                     # A thread with no surviving segment still gets one
                     # (empty) final chunk.
                     bodies = [
                         decode_tokens(seg.body)
                         for seg in ring_sink.iter_segments(thread)
-                    ] if thread in ring_sink.threads() else []
-                    bodies = bodies or [[]]
+                    ] or [[]]
                     for i, tokens in enumerate(bodies):
                         writer.write_chunk(
                             thread,
@@ -504,69 +526,57 @@ class Corpus:
                 sink = StreamingTraceSink(writer, flush_every=flush_every)
                 streamed = pipeline.record_once(recorded.seed, sink=sink)
             writer.close(meta=meta)
-            same_bug = recorded.bug is not None and recorded.bug.same_failure(
-                streamed.bug
-            )
-            if not same_bug or streamed.recorder.logs != recorded.recorder.logs:
+            if not recorded.bug.same_failure(streamed.bug) or (
+                streamed.recorder.logs != recorded.recorder.logs
+            ):
                 raise CorpusError(
                     "seed %d replayed differently while streaming to disk; "
                     "refusing to store a non-deterministic recording"
                     % recorded.seed
                 )
 
-            extra = {}
-            if ring_mode:
-                ring_info = streamed.ring or {}
-                extra["ring"] = {
-                    "ring_bytes": ring_info.get("ring_bytes"),
-                    "segment_bytes": ring_info.get("segment_bytes"),
-                    "lossy": streamed.lossy,
-                    "threads": {
-                        t: dict(info, anchor=info["anchor"].to_json())
-                        for t, info in ring_info.get("threads", {}).items()
-                    },
-                }
-            extra.update(extra_manifest or {})
             entry._write_manifest(
                 _manifest(
                     entry_id, program, source, config, recorded.seed,
-                    recorded.bug, recorded.result, recorded.recorder,
-                    time_record, extra,
+                    recorded.bug,
+                    run_stats(recorded.result, recorded.recorder),
+                    recorded.recorder.logs, time_record, streamed.ring,
+                    extra_manifest or {},
                 )
             )
         return self.entry(entry_id)
 
-    def add_recorded(self, source, recorder, result, name=None, config=None,
+    def add_recorded(self, source, logs, bug, stats, name=None, config=None,
                      entry_id=None, tag=None, seed=-1, provenance=None,
-                     time_record=0.0, extra_manifest=None):
+                     time_record=0.0, ring=None, extra_manifest=None):
         """Persist an already-recorded failing execution as an entry.
 
-        This is how ``repro explore`` stores its replay-validated
-        witnesses: the witness replay runs with a fresh
-        :class:`~repro.tracing.recorder.PathRecorder` attached, and the
-        resulting (finalized) logs plus the observed failure become a
-        normal self-contained entry — ``seed`` is -1 because no scheduler
-        seed produced the run, and ``provenance`` (a JSON-able dict, e.g.
-        the SR3xx finding that drove the search) is kept in the manifest.
-        Returns the new :class:`CorpusEntry`.
+        ``logs`` are the run's finalized per-thread token streams, ``bug``
+        its observed failure and ``stats`` its :func:`run_stats`.  This
+        is how ``repro explore`` stores its replay-validated witnesses —
+        ``seed`` is -1 because no scheduler seed produced the run, and
+        ``provenance`` (a JSON-able dict, e.g. the SR3xx finding that
+        drove the search) is kept in the manifest — and how the fleet
+        stores ingested crash reports.  ``ring`` is a flight recording's
+        ring snapshot: the streams are then its suffix.  Returns the new
+        :class:`CorpusEntry`.
         """
         program, config = _compile(source, name, config)
-        if result.bug is None:
-            raise CorpusError(
-                "refusing to store a recording with no observed failure"
-            )
+        check_storable(bug, logs)
         if entry_id is None:
             # The program name may be a file path; an entry id must be a
             # single directory component under entries/.
             base_name = os.path.basename(program.name) or "program"
             entry_id = self.free_entry_id(
-                "%s-%s-%s" % (base_name, tag or "witness", _sha256(source)[:8])
+                "%s-%s-%s"
+                % (base_name, tag or "witness", source_sha256(source)[:8])
             )
 
         with self._new_entry(entry_id) as entry:
             writer = ClapWriter(entry.trace_path)
-            for thread in sorted(recorder.logs):
-                writer.write_chunk(thread, recorder.logs[thread], final=True)
+            flags = 0 if ring is None else CHUNK_RING
+            for thread in sorted(logs):
+                writer.write_chunk(thread, logs[thread], final=True, flags=flags)
             writer.close(
                 meta={"entry": entry_id, "program": program.name, "seed": seed}
             )
@@ -574,8 +584,8 @@ class Corpus:
             extra.update(extra_manifest or {})
             entry._write_manifest(
                 _manifest(
-                    entry_id, program, source, config, seed, result.bug,
-                    result, recorder, time_record, extra,
+                    entry_id, program, source, config, seed, bug, stats,
+                    logs, time_record, ring, extra,
                 )
             )
         return self.entry(entry_id)
@@ -590,37 +600,20 @@ def _compile(source, name, config):
     return compile_source(source, name=name), config or ClapConfig()
 
 
-def _manifest(entry_id, program, source, config, seed, bug, result, recorder,
-              time_record, extra):
-    """The ``manifest.json`` of a new entry; ``extra`` sections go last."""
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "entry_id": entry_id,
-        "program": {
-            "name": program.name,
-            "source": source,
-            "sha256": _sha256(source),
-        },
-        "record": dict(
-            {key: getattr(config, key) for key in _RECORD_PARAMS},
-            seed=seed,
-        ),
-        "bug": {
-            "kind": bug.kind,
-            "message": bug.message,
-            "thread": bug.thread,
-            "line": bug.line,
-        },
-        "stats": {
-            "thread_names": sorted(result.thread_names.values()),
-            "n_instructions": result.total_instructions(),
-            "n_branches": result.total_branches(),
-            "n_saps": result.total_saps(),
-            "log_bytes": recorder.log_size_bytes(),
-            "instrumentation_ops": getattr(recorder, "instrumentation_ops", 0),
-            "time_record": time_record,
-        },
-        "recovered": False,
-    }
+def _manifest(entry_id, program, source, config, seed, bug, stats, logs,
+              time_record, ring, extra):
+    """The ``manifest.json`` of a new entry: ``stats`` gains what the
+    store measures itself (the encoded log size, the time to record), a
+    flight recording's ``ring`` snapshot becomes its ``ring`` section and
+    the ``extra`` sections go last."""
+    log_bytes = sum(len(encode_tokens(tokens)) for tokens in logs.values())
+    stats = dict(stats, log_bytes=log_bytes, time_record=time_record)
+    manifest = {"format": MANIFEST_FORMAT, "entry_id": entry_id}
+    manifest.update(
+        failure_record(source, program.name, config, seed, bug, stats)
+    )
+    manifest["recovered"] = False
+    if ring is not None:
+        manifest["ring"] = ring_section(ring)
     manifest.update(extra)
     return manifest

@@ -24,6 +24,7 @@ from repro.service.batch import JsonlSink
 from repro.service.faults import InjectedCrash, crash_at
 from repro.store import Corpus
 from repro.store.cache import AnalysisCache, SharedAnalysisCache
+from repro.store.corpus import run_stats
 
 from tests.conftest import RACE_SRC
 from tests.fleet.conftest import six_entry_fleet
@@ -119,8 +120,9 @@ def test_corpus_add_recorded(tmp_path, empty_corpus, recorded):
     def add(root):
         Corpus.open(root).add_recorded(
             RACE_SRC,
-            recorded.recorder,
-            recorded.result,
+            recorded.recorder.logs,
+            recorded.bug,
+            run_stats(recorded.result, recorded.recorder),
             name="race",
             config=CONFIG,
             tag="witness",
