@@ -91,25 +91,22 @@ def report_from_recorded(source, name, config, recorded):
 
 
 def report_from_entry(entry):
-    """Build a crash report from a stored corpus entry (for re-ingest)."""
+    """Build a crash report from a stored corpus entry (for re-ingest).
+
+    Only the run's own ``stats`` keys travel: the store-measured
+    ``log_bytes`` and ``time_record`` would make exports of the same
+    content differ, and ingest drops them anyway."""
     manifest = entry.manifest
-    sections = {
-        key: dict(manifest[key]) for key in ("program", "record", "bug", "stats")
+    sections = {key: dict(manifest[key]) for key in ("program", "record", "bug")}
+    stats = manifest["stats"]
+    sections["stats"] = {
+        key: stats[key] for key in corpus.RUN_STATS_TYPES if key in stats
     }
     return _report(sections, entry.load_execution(), manifest.get("ring"))
 
 
 # Type of each ClapConfig field, for the report's record parameters.
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(ClapConfig)}
-
-# JSON type of each optional ``stats`` field the corpus reads back.
-_STATS_TYPES = {
-    "thread_names": list,
-    "n_instructions": int,
-    "n_branches": int,
-    "n_saps": int,
-    "instrumentation_ops": int,
-}
 
 
 def _typed(value, expected, what):
@@ -187,7 +184,7 @@ def validate_report(report):
     stats = _typed(report.get("stats"), dict | None, "stats") or {}
     stats = {
         key: _typed(stats[key], expected, "stats.%s" % key)
-        for key, expected in _STATS_TYPES.items()
+        for key, expected in corpus.RUN_STATS_TYPES.items()
         if key in stats
     }
     config = ClapConfig(**params)

@@ -143,7 +143,10 @@ def restore_interpreter(program, checkpoint, **interp_kwargs):
 
     interp = Interpreter(program, **interp_kwargs)
     interp.threads.clear()
+    interp.threads_by_name.clear()
     interp.saps_by_thread.clear()
+    interp.runnable.clear()
+    interp.live = 0
     interp.next_tid = checkpoint.next_tid
     name_tids = {t.name: t.tid for t in checkpoint.threads}
     for snap in checkpoint.threads:
@@ -168,8 +171,7 @@ def restore_interpreter(program, checkpoint, **interp_kwargs):
             # Keep the schedule clean: exited husks never step again and
             # their suffix emits no SAPs.
             thread.sap_count = 1
-        interp.threads[snap.tid] = thread
-        interp.saps_by_thread[snap.name] = []
+        interp._add_thread(thread)
     for addr, value in checkpoint.memory.items():
         interp.memory.cells[addr] = value
     return interp

@@ -7,18 +7,23 @@ CLAP constraint theory can describe reachable by some choice sequence, and
 it gives the tracing hooks (Ball-Larus recorder, LEAP baseline) exact,
 perturbation-free observation points.
 
+Both choice sets are maintained as the run goes, not rebuilt per step: the
+interpreter updates its runnable tids where a thread's status changes, and
+the memory model its flushable buffer heads on every write and flush.
+
 Ground-truth ordering: the interpreter appends every SAP to ``events`` in
 *memory order* — sync ops and reads at execution time, writes at flush time
 (immediately under SC).  CLAP itself never sees this list; it exists so
 tests can check solver-computed schedules against a real feasible schedule.
 """
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from repro.minilang import bytecode as bc
 from repro.runtime import events as ev
 from repro.runtime.errors import DeadlockError, MiniRuntimeError
-from repro.runtime.memory import SC, make_memory
+from repro.runtime.memory import SC, PendingStore, make_memory
 from repro.runtime.scheduler import RandomScheduler
 from repro.runtime.sync import SyncTable
 from repro.runtime.thread_state import (
@@ -92,7 +97,8 @@ class Interpreter:
         Recorder objects; any of the methods ``on_thread_start(thread)``,
         ``on_enter(thread, func)``, ``on_exit(thread, func)``,
         ``on_edge(thread, func, src_block, dst_block)`` and
-        ``on_sap(thread, sap)`` they define will be invoked.
+        ``on_sap(thread, sap)`` they define will be invoked (looked up
+        once, when the interpreter is built).
     max_steps:
         Abort threshold (returns ``aborted='step-limit'``).
     """
@@ -119,6 +125,13 @@ class Interpreter:
         self.memory = make_memory(memory_model, program.symbols, shared_pred)
         self.sync = SyncTable(program.symbols)
         self.hooks = list(hooks)
+        # Each hook method bound once: a tuple per event, empty when no
+        # hook defines it.
+        self._on_thread_start = self._bind_hooks("on_thread_start")
+        self._on_enter = self._bind_hooks("on_enter")
+        self._on_exit = self._bind_hooks("on_exit")
+        self._on_edge = self._bind_hooks("on_edge")
+        self._on_sap = self._bind_hooks("on_sap")
         self.max_steps = max_steps
         self.collect_events = collect_events
         # Which waiter a signal wakes is a scheduling choice; the replayer
@@ -132,6 +145,13 @@ class Interpreter:
         )
 
         self.threads = {}  # tid -> ThreadState
+        self.threads_by_name = {}  # name -> ThreadState
+        # Scheduling state kept in step with the threads' statuses: the
+        # RUNNABLE tids in tid order, the number of threads not EXITED and
+        # the runnable tids that have just yielded.
+        self.runnable = []
+        self.live = 0
+        self.yielded = set()
         self.next_tid = 1
         self.steps = 0
         self.bug = None
@@ -156,27 +176,30 @@ class Interpreter:
         for pname, value in zip(func.params, args):
             frame.locals[pname] = value
         thread = ThreadState(tid=tid, name=name, frames=[frame])
-        self.threads[tid] = thread
-        self.saps_by_thread[name] = []
-        self._hook("on_thread_start", thread)
-        self._hook("on_enter", thread, func.name)
+        self._add_thread(thread)
+        for fn in self._on_thread_start:
+            fn(thread)
+        for fn in self._on_enter:
+            fn(thread, func.name)
         return thread
 
-    def thread_by_name(self, name):
-        for thread in self.threads.values():
-            if thread.name == name:
-                return thread
-        raise KeyError(name)
+    def _add_thread(self, thread):
+        """Register ``thread`` (new, or restored from a checkpoint)."""
+        self.threads[thread.tid] = thread
+        self.threads_by_name[thread.name] = thread
+        self.saps_by_thread[thread.name] = []
+        if thread.status == RUNNABLE:
+            insort(self.runnable, thread.tid)
+        if thread.alive:
+            self.live += 1
 
     # ------------------------------------------------------------------ #
     # Hook / event plumbing
     # ------------------------------------------------------------------ #
 
-    def _hook(self, method, *args):
-        for hook in self.hooks:
-            fn = getattr(hook, method, None)
-            if fn is not None:
-                fn(*args)
+    def _bind_hooks(self, method):
+        bound = (getattr(hook, method, None) for hook in self.hooks)
+        return tuple(fn for fn in bound if fn is not None)
 
     def _emit_sap(self, thread, kind, addr=None, value=None, line=0, deferred=False):
         """Allocate the next SAP of ``thread``.
@@ -198,7 +221,8 @@ class Interpreter:
             thread.stats.sync_ops += 1
         if self.collect_events and not deferred:
             self.events.append(sap)
-        self._hook("on_sap", thread, sap)
+        for fn in self._on_sap:
+            fn(thread, sap)
         return sap
 
     def _commit_flush(self, pending):
@@ -207,43 +231,34 @@ class Interpreter:
             self.events.append(pending.sap)
 
     def _fence(self, thread):
-        """Drain the thread's store buffers, committing events in order."""
-        while True:
-            heads = [
-                p for p in self.memory.flush_choices() if p.thread == thread.tid
-            ]
-            if not heads:
-                break
+        """Drain the thread's store buffers, committing events in order:
+        one head of each of its buffers per round."""
+        heads = self.memory.thread_heads(thread.tid)
+        while heads:
             for pending in heads:
                 self._commit_flush(pending)
+            heads = self.memory.thread_heads(thread.tid)
 
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
-
-    def enabled_actions(self):
-        actions = [
-            ("step", tid)
-            for tid, thread in self.threads.items()
-            if thread.status == RUNNABLE
-        ]
-        actions.extend(("flush", p) for p in self.memory.flush_choices())
-        return actions
 
     def run(self, step_hook=None):
         """Execute to completion.  ``step_hook(interp)``, if given, runs
         after every action — the checkpointing driver uses it to take
         snapshots at quiescent points."""
         self.scheduler.reset()
-        while self.bug is None and self.aborted is None:
-            live = [t for t in self.threads.values() if t.alive]
-            if not live:
-                break
-            actions = self.enabled_actions()
-            if not actions:
+        pick = self.scheduler.pick
+        runnable = self.runnable
+        flushable = self.memory.flushable
+        yielded = self.yielded
+        threads = self.threads
+        while self.bug is None and self.aborted is None and self.live:
+            if not runnable and not flushable:
                 blocked = ", ".join(
                     "%s on %s %r" % (t.name, t.block_reason, t.block_target)
-                    for t in live
+                    for t in threads.values()
+                    if t.alive
                 )
                 self.bug = ev.BugReport(
                     kind="deadlock", message="deadlock: " + blocked
@@ -252,12 +267,12 @@ class Interpreter:
             if self.steps >= self.max_steps:
                 self.aborted = "step-limit"
                 break
-            action = self.scheduler.choose(actions, self)
+            choice = pick(runnable, flushable, yielded)
             self.steps += 1
-            if action[0] == "flush":
-                self._commit_flush(action[1])
+            if isinstance(choice, PendingStore):
+                self._commit_flush(choice)
             else:
-                self.step_thread(self.threads[action[1]])
+                self.step_thread(threads[choice])
             if step_hook is not None:
                 step_hook(self)
         self.memory.drain_all()
@@ -285,7 +300,8 @@ class Interpreter:
 
     def step_thread(self, thread):
         """Execute one instruction (or one stage of a blocking op)."""
-        thread.just_yielded = False
+        if self.yielded:
+            self.yielded.discard(thread.tid)
         if thread.sap_count == 0:
             # The synthetic start SAP is a step of its own, so a schedule
             # can order it independently of the first real instruction.
@@ -294,14 +310,13 @@ class Interpreter:
         if thread.wait_resume is not None:
             self._resume_wait(thread)
             return
-        frame = thread.frame
-        instr = frame.current_instr()
+        frame = thread.frames[-1]
+        instr = frame.func.blocks[frame.block].instrs[frame.ip]
         thread.stats.instructions += 1
-        handler = self._DISPATCH[instr.op]
-        handler(self, thread, frame, instr)
+        self._DISPATCH[instr.op](self, thread, frame, instr)
 
     def _advance(self, thread):
-        thread.frame.ip += 1
+        thread.frames[-1].ip += 1
 
     def _is_shared(self, name):
         return self.shared_names is None or name in self.shared_names
@@ -392,7 +407,8 @@ class Interpreter:
         src = frame.block
         frame.block = dst
         frame.ip = 0
-        self._hook("on_edge", thread, frame.func.name, src, dst)
+        for fn in self._on_edge:
+            fn(thread, frame.func.name, src, dst)
 
     def _op_jump(self, thread, frame, instr):
         self._goto(thread, frame, instr.arg)
@@ -412,14 +428,16 @@ class Interpreter:
             new_frame.locals[pname] = value
         self._advance(thread)  # return point: the instr after the call
         thread.frames.append(new_frame)
-        self._hook("on_enter", thread, func.name)
+        for fn in self._on_enter:
+            fn(thread, func.name)
 
     def _op_ret(self, thread, frame, instr):
         value = frame.stack.pop()
         func_name = frame.func.name
         exit_block = frame.block
         thread.frames.pop()
-        self._hook("on_exit", thread, func_name, exit_block)
+        for fn in self._on_exit:
+            fn(thread, func_name, exit_block)
         if thread.frames:
             thread.frame.stack.append(value)
         else:
@@ -429,6 +447,8 @@ class Interpreter:
         self._fence(thread)
         self._emit_sap(thread, ev.EXIT)
         thread.status = EXITED
+        self.runnable.remove(thread.tid)
+        self.live -= 1
         for other in self.threads.values():
             if (
                 other.status == BLOCKED
@@ -441,11 +461,13 @@ class Interpreter:
         thread.status = RUNNABLE
         thread.block_reason = None
         thread.block_target = None
+        insort(self.runnable, thread.tid)
 
     def _block(self, thread, reason, target):
         thread.status = BLOCKED
         thread.block_reason = reason
         thread.block_target = target
+        self.runnable.remove(thread.tid)
 
     # -- threading ------------------------------------------------------------
 
@@ -587,7 +609,7 @@ class Interpreter:
         # yield is a SAP: a must-interleave segment boundary (Section 4.2).
         # It is NOT a memory fence (sched_yield has no barrier semantics).
         self._emit_sap(thread, ev.YIELD, line=instr.line)
-        thread.just_yielded = True
+        self.yielded.add(thread.tid)
         self._advance(thread)
 
     def _op_fence(self, thread, frame, instr):

@@ -28,6 +28,7 @@ deterministic replayer can flush a *specific* pending write when the
 computed schedule says its memory-order turn has come.
 """
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -80,6 +81,9 @@ class _BaseMemory:
         # shared_addrs: predicate deciding whether an address is shared data
         # (then subject to buffering).  None means "everything is shared".
         self._shared = shared_addrs
+        # The flushable store-buffer heads, kept in step with every write
+        # and flush; always empty under SC.
+        self.flushable = []
 
     def is_shared(self, addr):
         return self._shared is None or self._shared(addr)
@@ -115,11 +119,16 @@ class _BaseMemory:
 
     def flush_choices(self):
         """Pending flush actions the scheduler may take: list of PendingStore
-        at the head of some FIFO buffer (only those are flushable)."""
+        at the head of some FIFO buffer (only those are flushable).  A fresh
+        scan of the buffers; ``flushable`` holds the same list."""
         return []
 
     def flush(self, pending):
         raise NotImplementedError("no store buffers in this model")
+
+    def thread_heads(self, tid):
+        """The heads of ``tid``'s non-empty buffers, in creation order."""
+        return []
 
     def fence(self, tid):
         """Drain all of ``tid``'s buffered stores (sync ops are full fences)."""
@@ -140,14 +149,95 @@ class SCMemory(_BaseMemory):
     model = SC
 
 
-class TSOMemory(_BaseMemory):
+class _BufferedMemory(_BaseMemory):
+    """Store buffers shared by TSO and PSO: FIFO deques keyed by
+    :meth:`_key`, whose heads are the flushable stores.
+
+    ``flushable`` is kept equal to :meth:`flush_choices` — the heads of
+    the non-empty buffers, in buffer-creation order — by :meth:`write`
+    and :meth:`flush`, so the scheduler reads it without a scan.
+    """
+
+    def __init__(self, symbols, shared_addrs=None):
+        super().__init__(symbols, shared_addrs)
+        self.buffers = {}  # key -> deque[PendingStore]
+        self._created = {}  # key -> creation index of its buffer
+        self._head_index = []  # creation indices of ``flushable``'s buffers
+        self._thread_buffers = {}  # tid -> that thread's buffers, in order
+
+    def _key(self, tid, addr):
+        raise NotImplementedError
+
+    def write(self, tid, addr, value, sap=None):
+        self.check_addr(addr)
+        if not self.is_shared(addr):
+            self.cells[addr] = value
+            return
+        pending = PendingStore(tid, addr, value, sap)
+        key = self._key(tid, addr)
+        buffer = self.buffers.get(key)
+        if buffer is None:
+            buffer = self.buffers[key] = deque()
+            self._created[key] = len(self._created)
+            self._thread_buffers.setdefault(tid, []).append(buffer)
+        if not buffer:
+            created = self._created[key]
+            i = bisect_left(self._head_index, created)
+            self._head_index.insert(i, created)
+            self.flushable.insert(i, pending)
+        buffer.append(pending)
+
+    def flush_choices(self):
+        return [buffer[0] for buffer in self.buffers.values() if buffer]
+
+    def flush(self, pending):
+        key = self._key(pending.thread, pending.addr)
+        buffer = self.buffers[key]
+        if not buffer or buffer[0] is not pending:
+            raise ValueError(
+                "can only flush the head of a %s store buffer" % self.model.upper()
+            )
+        buffer.popleft()
+        self.cells[pending.addr] = pending.value
+        i = bisect_left(self._head_index, self._created[key])
+        if buffer:
+            self.flushable[i] = buffer[0]
+        else:
+            del self._head_index[i]
+            del self.flushable[i]
+
+    def thread_heads(self, tid):
+        return [buffer[0] for buffer in self._thread_buffers.get(tid, ()) if buffer]
+
+    def fence(self, tid):
+        for buffer in self._thread_buffers.get(tid, ()):
+            while buffer:
+                self.flush(buffer[0])
+
+    def drain_all(self):
+        for buffer in self.buffers.values():
+            while buffer:
+                self.flush(buffer[0])
+
+    def _buffers_of(self, tid):
+        if tid is None:
+            return self.buffers.values()
+        return self._thread_buffers.get(tid, ())
+
+    def pending_count(self, tid=None):
+        return sum(len(buffer) for buffer in self._buffers_of(tid))
+
+    def pending_stores(self, tid=None):
+        return [p for buffer in self._buffers_of(tid) for p in buffer]
+
+
+class TSOMemory(_BufferedMemory):
     """Total store order: one FIFO store buffer per thread."""
 
     model = TSO
 
-    def __init__(self, symbols, shared_addrs=None):
-        super().__init__(symbols, shared_addrs)
-        self.buffers = {}  # tid -> deque[PendingStore]
+    def _key(self, tid, addr):
+        return tid
 
     def read(self, tid, addr):
         self.check_addr(addr)
@@ -158,46 +248,8 @@ class TSOMemory(_BaseMemory):
                     return pending.value
         return self.cells[addr]
 
-    def write(self, tid, addr, value, sap=None):
-        self.check_addr(addr)
-        if not self.is_shared(addr):
-            self.cells[addr] = value
-            return
-        self.buffers.setdefault(tid, deque()).append(
-            PendingStore(tid, addr, value, sap)
-        )
 
-    def flush_choices(self):
-        return [buffer[0] for buffer in self.buffers.values() if buffer]
-
-    def flush(self, pending):
-        buffer = self.buffers[pending.thread]
-        if not buffer or buffer[0] is not pending:
-            raise ValueError("can only flush the head of a TSO store buffer")
-        buffer.popleft()
-        self.cells[pending.addr] = pending.value
-
-    def fence(self, tid):
-        buffer = self.buffers.get(tid)
-        while buffer:
-            self.flush(buffer[0])
-
-    def drain_all(self):
-        for tid in list(self.buffers):
-            self.fence(tid)
-
-    def pending_count(self, tid=None):
-        if tid is not None:
-            return len(self.buffers.get(tid, ()))
-        return sum(len(b) for b in self.buffers.values())
-
-    def pending_stores(self, tid=None):
-        if tid is not None:
-            return list(self.buffers.get(tid, ()))
-        return [p for b in self.buffers.values() for p in b]
-
-
-class PSOMemory(_BaseMemory):
+class PSOMemory(_BufferedMemory):
     """Partial store order: one FIFO store buffer per (thread, address).
 
     Stores by one thread to *different* addresses may become visible in
@@ -206,9 +258,8 @@ class PSOMemory(_BaseMemory):
 
     model = PSO
 
-    def __init__(self, symbols, shared_addrs=None):
-        super().__init__(symbols, shared_addrs)
-        self.buffers = {}  # (tid, addr) -> deque[PendingStore]
+    def _key(self, tid, addr):
+        return (tid, addr)
 
     def read(self, tid, addr):
         self.check_addr(addr)
@@ -216,50 +267,6 @@ class PSOMemory(_BaseMemory):
         if buffer:
             return buffer[-1].value
         return self.cells[addr]
-
-    def write(self, tid, addr, value, sap=None):
-        self.check_addr(addr)
-        if not self.is_shared(addr):
-            self.cells[addr] = value
-            return
-        self.buffers.setdefault((tid, addr), deque()).append(
-            PendingStore(tid, addr, value, sap)
-        )
-
-    def flush_choices(self):
-        return [buffer[0] for buffer in self.buffers.values() if buffer]
-
-    def flush(self, pending):
-        buffer = self.buffers[(pending.thread, pending.addr)]
-        if not buffer or buffer[0] is not pending:
-            raise ValueError("can only flush the head of a PSO store buffer")
-        buffer.popleft()
-        self.cells[pending.addr] = pending.value
-
-    def fence(self, tid):
-        for (buf_tid, _), buffer in self.buffers.items():
-            if buf_tid == tid:
-                while buffer:
-                    self.flush(buffer[0])
-
-    def drain_all(self):
-        for buffer in self.buffers.values():
-            while buffer:
-                self.flush(buffer[0])
-
-    def pending_count(self, tid=None):
-        total = 0
-        for (buf_tid, _), buffer in self.buffers.items():
-            if tid is None or buf_tid == tid:
-                total += len(buffer)
-        return total
-
-    def pending_stores(self, tid=None):
-        result = []
-        for (buf_tid, _), buffer in self.buffers.items():
-            if tid is None or buf_tid == tid:
-                result.extend(buffer)
-        return result
 
 
 _MODEL_CLASSES = {SC: SCMemory, TSO: TSOMemory, PSO: PSOMemory}

@@ -135,8 +135,7 @@ def replay_schedule(
 def _find_pending(interp, uid):
     for pending in interp.memory.pending_stores():
         if pending.sap is not None and pending.sap.uid == uid:
-            choices = interp.memory.flush_choices()
-            if pending not in choices:
+            if pending not in interp.memory.flushable:
                 raise ReplayError(
                     "schedule flushes %r out of store-buffer FIFO order" % (uid,)
                 )
@@ -147,7 +146,7 @@ def _find_pending(interp, uid):
 def _step_until_event(interp, expected, n_before):
     thread_name = expected[0]
     try:
-        thread = interp.thread_by_name(thread_name)
+        thread = interp.threads_by_name[thread_name]
     except KeyError:
         raise ReplayError(
             "schedule names thread %r before it was forked" % thread_name

@@ -1,14 +1,20 @@
 """Thread schedulers for the MiniLang interpreter.
 
-A scheduler is asked, at every step, to pick one *action* from the set of
-currently enabled actions.  Actions are:
+At every step the interpreter calls :meth:`Scheduler.pick` with
 
-* ``("step", tid)``   — execute one instruction of thread ``tid``;
-* ``("flush", pending)`` — make one buffered store globally visible
-  (TSO/PSO only; ``pending`` is a :class:`~repro.runtime.memory.PendingStore`).
+* ``tids`` — the runnable thread ids, in tid order;
+* ``flushes`` — the flushable store-buffer heads (TSO/PSO only; each a
+  :class:`~repro.runtime.memory.PendingStore`), in buffer-creation order;
+* ``yielded`` — the set of runnable tids that have just executed a
+  ``yield`` (almost always empty).
+
+It returns a tid, to execute one instruction of that thread, or one of
+``flushes``, to make that buffered store globally visible.  The lists are
+the interpreter's own, maintained incrementally: a scheduler reads them
+and must not keep or mutate them.
 
 Because every instruction is a potential preemption point and store-buffer
-flushes are explicit actions, every SC/TSO/PSO interleaving the constraint
+flushes are explicit choices, every SC/TSO/PSO interleaving the constraint
 theory can express is reachable by some scheduler choice sequence — which
 is what makes the seeded :class:`RandomScheduler` an adequate stand-in for
 the paper's "insert timing delays and run many times" bug-triggering setup.
@@ -18,9 +24,9 @@ import random
 
 
 class Scheduler:
-    """Base class: subclasses override :meth:`choose`."""
+    """Base class: subclasses override :meth:`pick`."""
 
-    def choose(self, actions, interp):
+    def pick(self, tids, flushes, yielded):
         raise NotImplementedError
 
     def reset(self):
@@ -31,12 +37,18 @@ class RandomScheduler(Scheduler):
     """Seeded random scheduler with a stickiness bias.
 
     With probability ``stickiness`` the previously running thread keeps
-    running (when still enabled); otherwise a uniformly random enabled
-    action is taken.  Low stickiness yields heavy interleaving; high
+    running (when still enabled); otherwise a uniformly random runnable
+    thread is taken.  Low stickiness yields heavy interleaving; high
     stickiness yields long thread bursts (more realistic, fewer races hit).
     ``flush_prob`` biases how eagerly store buffers drain: 1.0 approximates
     SC even on TSO/PSO; small values keep stores buffered long enough for
     relaxed-memory reorderings to be observable.
+
+    The random draws per decision are fixed: one ``random()`` for the
+    flush coin when both kinds of choice exist, a ``choice()`` among the
+    flushes, or else one ``random()`` for stickiness when there is a
+    previous thread and a ``choice()`` unless it sticks.  Every recorded
+    run depends on this sequence.
     """
 
     def __init__(self, seed=0, stickiness=0.7, flush_prob=0.35):
@@ -50,24 +62,21 @@ class RandomScheduler(Scheduler):
         self.rng = random.Random(self.seed)
         self.last_tid = None
 
-    def choose(self, actions, interp):
-        flushes = [a for a in actions if a[0] == "flush"]
-        steps = [a for a in actions if a[0] == "step"]
-        if flushes and (not steps or self.rng.random() < self.flush_prob):
-            return self.rng.choice(flushes)
+    def pick(self, tids, flushes, yielded):
+        rng = self.rng
+        if flushes and (not tids or rng.random() < self.flush_prob):
+            return rng.choice(flushes)
         # Honour sched_yield: a thread that just yielded loses its turn
         # when any other thread can run.
-        fresh = [
-            a for a in steps if not interp.threads[a[1]].just_yielded
-        ]
-        pool = fresh or steps
-        if self.last_tid is not None and self.rng.random() < self.stickiness:
-            for action in pool:
-                if action[1] == self.last_tid:
-                    return action
-        action = self.rng.choice(pool)
-        self.last_tid = action[1]
-        return action
+        pool = tids
+        if yielded:
+            pool = [tid for tid in tids if tid not in yielded] or tids
+        last = self.last_tid
+        if last is not None and rng.random() < self.stickiness and last in pool:
+            return last
+        tid = rng.choice(pool)
+        self.last_tid = tid
+        return tid
 
 
 class RoundRobinScheduler(Scheduler):
@@ -83,27 +92,21 @@ class RoundRobinScheduler(Scheduler):
         self.remaining = self.quantum
         self.last_tid = None
 
-    def choose(self, actions, interp):
-        steps = [a for a in actions if a[0] == "step"]
-        flushes = [a for a in actions if a[0] == "flush"]
-        if not steps:
+    def pick(self, tids, flushes, yielded):
+        if not tids:
             return flushes[0]
-        if self.last_tid is not None and self.remaining > 0:
-            for action in steps:
-                if action[1] == self.last_tid:
-                    self.remaining -= 1
-                    return action
+        last = self.last_tid
+        if last is not None and self.remaining > 0 and last in tids:
+            self.remaining -= 1
+            return last
         if flushes:
             return flushes[0]
-        tids = sorted(a[1] for a in steps)
-        if self.last_tid is None:
-            pick = tids[0]
-        else:
-            later = [t for t in tids if t > self.last_tid]
-            pick = later[0] if later else tids[0]
-        self.last_tid = pick
+        tid = tids[0]
+        if last is not None:
+            tid = next((t for t in tids if t > last), tid)
+        self.last_tid = tid
         self.remaining = self.quantum - 1
-        return ("step", pick)
+        return tid
 
 
 class FixedScheduler(Scheduler):
@@ -111,7 +114,7 @@ class FixedScheduler(Scheduler):
 
     Each decision is ``("step", tid)`` or ``("flush", addr)``; a flush
     decision matches the pending store with that address.  When decisions
-    run out, falls back to the first enabled step action.
+    run out, falls back to the lowest runnable tid, then the first flush.
     """
 
     def __init__(self, decisions):
@@ -121,23 +124,19 @@ class FixedScheduler(Scheduler):
     def reset(self):
         self.pos = 0
 
-    def choose(self, actions, interp):
+    def pick(self, tids, flushes, yielded):
         while self.pos < len(self.decisions):
             kind, arg = self.decisions[self.pos]
             self.pos += 1
             if kind == "step":
-                for action in actions:
-                    if action[0] == "step" and action[1] == arg:
-                        return action
+                if arg in tids:
+                    return arg
             else:
-                for action in actions:
-                    if action[0] == "flush" and action[1].addr == arg:
-                        return action
+                for pending in flushes:
+                    if pending.addr == arg:
+                        return pending
             # Decision not currently enabled: skip it (keeps tests terse).
-        for action in actions:
-            if action[0] == "step":
-                return action
-        return actions[0]
+        return tids[0] if tids else flushes[0]
 
 
 def find_buggy_seed(

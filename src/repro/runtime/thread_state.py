@@ -46,9 +46,6 @@ class ThreadState:
     children: int = 0  # number of threads forked so far (for naming)
     sap_count: int = 0  # per-thread SAP index counter
     stats: ThreadStats = field(default_factory=ThreadStats)
-    # True right after executing a yield; schedulers deprioritize the
-    # thread for one scheduling decision (cleared when stepped again).
-    just_yielded: bool = False
     # Set while re-acquiring the mutex at the tail of a wait(): holds the
     # (condvar, mutex) pair so the resume logic knows not to re-run the
     # WAIT instruction from scratch.
@@ -61,10 +58,6 @@ class ThreadState:
     @property
     def alive(self):
         return self.status != EXITED
-
-    @property
-    def runnable(self):
-        return self.status == RUNNABLE
 
     def next_sap_index(self):
         index = self.sap_count

@@ -85,9 +85,24 @@ def source_sha256(text):
 # -- the failure record ------------------------------------------------------
 
 
+# The ``stats`` keys a live run reports, with their JSON types: what
+# :func:`run_stats` writes, what a wire crash report carries and what the
+# gateway reads back.  A manifest's ``stats`` adds what the store
+# measures itself (``log_bytes``, ``time_record``), which reports leave
+# out.
+RUN_STATS_TYPES = {
+    "thread_names": list,
+    "n_instructions": int,
+    "n_branches": int,
+    "n_saps": int,
+    "instrumentation_ops": int,
+}
+
+
 def run_stats(result, recorder):
-    """The ``stats`` section of a live run: ``result`` is its
-    ExecutionResult, ``recorder`` its finalized PathRecorder."""
+    """The ``stats`` section of a live run (:data:`RUN_STATS_TYPES`):
+    ``result`` is its ExecutionResult, ``recorder`` its finalized
+    PathRecorder."""
     return {
         "thread_names": sorted(result.thread_names.values()),
         "n_instructions": result.total_instructions(),

@@ -10,6 +10,7 @@ from repro.runtime.checkpoint import (
     take_checkpoint,
 )
 from repro.runtime.interpreter import Interpreter, run_program
+from repro.runtime.memory import PendingStore
 from repro.runtime.scheduler import RandomScheduler
 from repro.store.cache import AnalysisCache
 from repro.store.container import ClapWriter
@@ -48,15 +49,16 @@ def test_snapshot_restore_roundtrip():
     interp.scheduler.reset()
     # Step manually to some mid-execution point.
     for _ in range(200):
-        actions = interp.enabled_actions()
-        if not actions:
+        if not interp.runnable and not interp.memory.flushable:
             break
-        action = interp.scheduler.choose(actions, interp)
+        choice = interp.scheduler.pick(
+            interp.runnable, interp.memory.flushable, interp.yielded
+        )
         interp.steps += 1
-        if action[0] == "flush":
-            interp._commit_flush(action[1])
+        if isinstance(choice, PendingStore):
+            interp._commit_flush(choice)
         else:
-            interp.step_thread(interp.threads[action[1]])
+            interp.step_thread(interp.threads[choice])
     if not is_quiescent(interp):
         pytest.skip("not quiescent at this point")
     checkpoint = take_checkpoint(interp)

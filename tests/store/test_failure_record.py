@@ -24,7 +24,7 @@ from repro.fleet import (
 from repro.fleet.gateway import GatewayError, validate_ring
 from repro.minilang import compile_source
 from repro.store import Corpus, CorpusError
-from repro.store.corpus import RECORD_PARAMS, run_stats
+from repro.store.corpus import RECORD_PARAMS, RUN_STATS_TYPES, run_stats
 
 from tests.conftest import RACE_SRC
 from tests.core.test_checkpoint import LONG_RACE_SRC
@@ -50,7 +50,7 @@ def test_failure_record_roundtrip(tmp_path, kind):
     first = entry.load_execution()
     wire = report_from_recorded(source, name, config, live)
     report = report_from_entry(entry)
-    for key in ("program", "record", "bug", "logs", "ring"):
+    for key in ("program", "record", "bug", "stats", "logs", "ring"):
         assert wire.get(key) == report.get(key), key
 
     src, prog_name, cfg, logs, bug, stats, seed = validate_report(report)
@@ -84,6 +84,31 @@ def test_failure_record_roundtrip(tmp_path, kind):
     assert all(r.reproduced for r in reports)
     assert reports[1].schedule == reports[0].schedule
     assert reports[2].schedule == reports[0].schedule
+
+
+def test_export_is_byte_stable(tmp_path):
+    """An exported report carries only the run's own stats, so exports
+    of one entry, and of entries that differ only in the store-measured
+    ``time_record``, are byte-identical."""
+    config = ClapConfig(seeds=range(200))
+    live = ClapPipeline(compile_source(RACE_SRC, name="race"), config).record()
+    stats = run_stats(live.result, live.recorder)
+    assert set(stats) == set(RUN_STATS_TYPES)
+    corpus = Corpus.create(str(tmp_path))
+    entries = [
+        corpus.add_recorded(
+            RACE_SRC, live.recorder.logs, live.bug, stats, name="race",
+            config=config, seed=live.seed, time_record=time_record,
+        )
+        for time_record in (6.0e-07, 1.0e-05)
+    ]
+    assert entries[0].manifest["stats"]["time_record"] == 6.0e-07
+    exports = [
+        json.dumps(report_from_entry(entry), indent=2, sort_keys=True)
+        for entry in (entries[0], entries[0], entries[1])
+    ]
+    assert exports[0] == exports[1] == exports[2]
+    assert json.loads(exports[0])["stats"] == stats
 
 
 # -- checkpointed recordings are refused ------------------------------------
