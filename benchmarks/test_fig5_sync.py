@@ -14,7 +14,6 @@ mapping, and check the forbidden mappings never occur.
 
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.solver.smt import ClapSmtSolver
-from repro.constraints.model import RFChoice
 
 from conftest import emit
 
@@ -86,8 +85,7 @@ def _all_rf_solutions(pipeline, recorded, limit=64):
         # Block this reads-from combination.
         lits = []
         for read_uid, source in result.reads_from.items():
-            src = source if source != "<init>" else "<init>"
-            var = solver.atom_var.get(RFChoice(read_uid, src))
+            var = solver.rf_var(read_uid, source)
             if var is not None:
                 lits.append(-var)
         if not lits:

@@ -27,6 +27,7 @@ figure2        the paper's running example: assert1 fails under an SC
 =============  ===========================================================
 """
 
+import functools
 from dataclasses import dataclass, field
 
 
@@ -520,10 +521,10 @@ int main() {
 """ % (cells, loops, cells, cells, cells, cells, cells, expected)
 
 
-def racey(loops=10, cells=8):
-    """racey's bug predicate is its output *signature*: the assertion pins
-    the signature of a race-free (serialized) execution, so any racy
-    interleaving fails it and CLAP must reconstruct a racy schedule."""
+@functools.lru_cache(maxsize=None)
+def _racey_signature(loops, cells):
+    """The output of racey run serially: one thread at a time, to the end.
+    A function of ``(loops, cells)`` alone, so each size runs it once."""
     from repro.minilang import compile_source
     from repro.runtime.interpreter import run_program
     from repro.runtime.scheduler import RoundRobinScheduler
@@ -534,7 +535,14 @@ def racey(loops=10, cells=8):
     serial = run_program(
         probe, "sc", scheduler=RoundRobinScheduler(quantum=10**9)
     )
-    expected = serial.final_globals[("out",)]
+    return serial.final_globals[("out",)]
+
+
+def racey(loops=10, cells=8):
+    """racey's bug predicate is its output *signature*: the assertion pins
+    the signature of a race-free (serialized) execution, so any racy
+    interleaving fails it and CLAP must reconstruct a racy schedule."""
+    expected = _racey_signature(loops, cells)
     source = _racey_source(loops, cells, str(expected))
     return BenchProgram(
         name="racey",

@@ -7,9 +7,7 @@ symbolic summaries; the solvers in :mod:`repro.solver` consume it.
 """
 
 from repro.constraints.model import (
-    Clause,
     ConstraintSystem,
-    Lit,
     OLt,
     RFChoice,
     SWChoice,
@@ -23,9 +21,7 @@ from repro.constraints.context_switch import (
 from repro.constraints.stats import ConstraintStats
 
 __all__ = [
-    "Clause",
     "ConstraintSystem",
-    "Lit",
     "OLt",
     "RFChoice",
     "SWChoice",

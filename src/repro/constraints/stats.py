@@ -149,16 +149,24 @@ def compute_stats(system):
         len(c) for c in system.sw_candidates.values()
     )
     stats.n_hard_edges = len(system.hard_edges)
-    groups = (
-        system.clauses
-        + [c for c in system.exactly_one]
-        + [c for c in system.at_most_one]
+    # The integer image's clauses and groups: each clause of a flat list
+    # ends with a 0; the rf lists hold two literals per clause.
+    terminated = (
+        system.sync,
+        system.goals,
+        system.rf_one,
+        system.sw_once,
+        system.rf_horizon,
     )
+    ends = sum(flat.count(0) for flat in terminated)
+    pairs = len(system.rf_before) + len(system.rf_init)
     # Frw's no-middle clauses belong to F even though the solver builds
     # them lazily: counted, three literals each, not materialized.
     no_middle = no_middle_count(system.rf_candidates)
-    stats.n_clauses = len(groups) + no_middle
-    stats.n_clause_lits = sum(len(c.lits) for c in groups) + 3 * no_middle
+    stats.n_clauses = ends + pairs // 2 + no_middle
+    stats.n_clause_lits = (
+        sum(len(flat) for flat in terminated) - ends + pairs + 3 * no_middle
+    )
     stats.n_path_conditions = len(system.conditions) + len(system.bug_exprs)
     stats.n_path_condition_nodes = sum(
         expr_size(c.expr) for c in system.conditions

@@ -23,21 +23,24 @@ Locking constraints
 """
 
 from repro.runtime import events as ev
-from repro.constraints.model import AtMostOne, Clause, Lit, OLt, SWChoice
+from repro.constraints.model import OLt
 
 
 class SyncEncodingError(Exception):
     pass
 
 
-def encode_sync_order(summaries, preexited=frozenset()):
-    """Build Fso.  Returns (hard_edges, clauses, at_most_one, sw_candidates).
+def encode_sync_order(summaries, table, preexited=frozenset()):
+    """Build Fso, numbering its atoms in ``table`` (an
+    :class:`~repro.constraints.model.AtomTable`).  Returns ``(hard_edges,
+    clauses, sw_once, sw_candidates)``: the clauses and the at-most-one
+    groups as 0-terminated flat literal lists.
 
     ``preexited``: threads that exited before a checkpoint — joins on them
     are already satisfied and contribute no constraint."""
     hard = []
     clauses = []
-    at_most_one = []
+    sw_once = []
     sw_candidates = {}
 
     by_kind = {}
@@ -46,9 +49,9 @@ def encode_sync_order(summaries, preexited=frozenset()):
             by_kind.setdefault(sap.kind, []).append(sap)
 
     _encode_fork_join(summaries, by_kind, hard, preexited)
-    _encode_wait_signal(summaries, by_kind, hard, clauses, at_most_one, sw_candidates)
-    _encode_locks(summaries, by_kind, clauses, hard)
-    return hard, clauses, at_most_one, sw_candidates
+    _encode_wait_signal(summaries, by_kind, table, clauses, sw_once, sw_candidates)
+    _encode_locks(summaries, table, clauses, hard)
+    return hard, clauses, sw_once, sw_candidates
 
 
 def _find_start_exit(summaries):
@@ -97,7 +100,7 @@ def _wait_release_unlock(summary, wait_sap):
     return prev
 
 
-def _encode_wait_signal(summaries, by_kind, hard, clauses, at_most_one, sw_candidates):
+def _encode_wait_signal(summaries, by_kind, table, clauses, sw_once, sw_candidates):
     signals = by_kind.get(ev.SIGNAL, [])
     broadcasts = by_kind.get(ev.BROADCAST, [])
     waits = by_kind.get(ev.WAIT, [])
@@ -113,24 +116,15 @@ def _encode_wait_signal(summaries, by_kind, hard, clauses, at_most_one, sw_candi
                 "wait on %r by %s has no candidate signal" % (wait.addr, wait.thread)
             )
         sw_candidates[wait.uid] = [s.uid for s in candidates]
-        choice_lits = []
+        choices = []
         for sig in candidates:
-            choice = SWChoice(sig.uid, wait.uid)
-            choice_lits.append(Lit(choice))
-            # choice -> release < signal < wait.
-            clauses.append(
-                Clause(
-                    [Lit(choice, False), Lit(OLt(release.uid, sig.uid))],
-                    origin="sw-release",
-                )
-            )
-            clauses.append(
-                Clause(
-                    [Lit(choice, False), Lit(OLt(sig.uid, wait.uid))],
-                    origin="sw-order",
-                )
-            )
-        clauses.append(Clause(choice_lits, origin="sw-some"))
+            choice = table.sw(sig.uid, wait.uid)
+            choices.append(choice)
+            # choice -> release < signal < wait: sw-release, sw-order.
+            clauses += (-choice, table.order(release.uid, sig.uid), 0)
+            clauses += (-choice, table.order(sig.uid, wait.uid), 0)
+        clauses += choices  # sw-some
+        clauses.append(0)
     # Each plain signal wakes at most one wait; broadcasts wake any number.
     signal_waits = {}
     for wait_uid, sigs in sw_candidates.items():
@@ -140,11 +134,8 @@ def _encode_wait_signal(summaries, by_kind, hard, clauses, at_most_one, sw_candi
     for sig_uid, wait_uids in signal_waits.items():
         if sig_uid in broadcast_uids or len(wait_uids) < 2:
             continue
-        at_most_one.append(
-            AtMostOne(
-                [Lit(SWChoice(sig_uid, w)) for w in wait_uids], origin="sw-once"
-            )
-        )
+        sw_once += [table.sw(sig_uid, w) for w in wait_uids]
+        sw_once.append(0)
 
 
 def _lock_regions(summary):
@@ -173,7 +164,7 @@ def _lock_regions(summary):
     return regions
 
 
-def _encode_locks(summaries, by_kind, clauses, hard):
+def _encode_locks(summaries, table, clauses, hard):
     all_regions = {}
     for summary in summaries.values():
         for mutex, regions in _lock_regions(summary).items():
@@ -192,10 +183,5 @@ def _encode_locks(summaries, by_kind, clauses, hard):
                     hard.append(OLt(u2, l1))
                 elif u2 is None:
                     hard.append(OLt(u1, l2))
-                else:
-                    clauses.append(
-                        Clause(
-                            [Lit(OLt(u1, l2)), Lit(OLt(u2, l1))],
-                            origin="lock-excl",
-                        )
-                    )
+                else:  # lock-excl
+                    clauses += (table.order(u1, l2), table.order(u2, l1), 0)

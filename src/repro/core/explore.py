@@ -34,8 +34,8 @@ from repro.minilang import compile_source
 from repro.minilang.compiler import CompiledProgram
 from repro.analysis.static_race import find_bug_patterns, robustness_patterns
 from repro.analysis.symbolic import free_syms, mk_binop, mk_not
-from repro.constraints.encoder import assign_atom_numbering, encode
-from repro.constraints.model import Clause, Lit, OLt, SWChoice
+from repro.constraints.encoder import encode
+from repro.constraints.model import OLt, SWChoice
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.runtime import events as ev
 from repro.runtime.memory import MEMORY_MODELS, PSO, SC, TSO
@@ -453,16 +453,12 @@ class ExploreDriver:
             model,
             self.program.symbols,
             self.pipeline.shared,
+            goals=goal_atoms,
         )
         for atom in goal_atoms:
             if isinstance(atom, SWChoice):
-                candidates = set(system.sw_candidates.get(atom.wait, ()))
-                if atom.signal not in candidates:
+                if atom.signal not in system.sw_candidates.get(atom.wait, ()):
                     return None
-            system.clauses.append(Clause([Lit(atom)], origin="explore-goal"))
-        # Goal atoms may be new to the system; renumber so the solver sees
-        # them (OLt atoms are canonicalized by the numbering pass).
-        assign_atom_numbering(system)
         return system, cond, line
 
     def _attempt(self, run, pred, thread, assert_idx, goal_atoms, rung, model, out):

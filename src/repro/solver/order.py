@@ -59,16 +59,21 @@ class OrderTheory:
             self.ord[node] = position
         self.succ = succ  # node -> [(successor, literal or 0)]
         self.pred = pred  # node -> [predecessor]
-        self.var_edges = [None]  # var -> (a, b) its positive literal orders
+        # var -> the nodes its positive literal orders, tail before head;
+        # -1 for a variable that is no order atom.
+        self.tail = [-1]
+        self.head = [-1]
         self.asserted = []  # (tail, head, trail position) in trail order
 
     def add_atom(self, var, a, b):
         """Track ``var``: its positive literal orders node ``a`` before
         ``b``, its negative literal ``b`` before ``a``."""
-        edges = self.var_edges
-        if var >= len(edges):
-            edges.extend([None] * (var + 1 - len(edges)))
-        edges[var] = (a, b)
+        if var >= len(self.tail):
+            missing = var + 1 - len(self.tail)
+            self.tail.extend([-1] * missing)
+            self.head.extend([-1] * missing)
+        self.tail[var] = a
+        self.head[var] = b
 
     def assign(self, trail, start):
         """Assert the order atoms on ``trail[start:]``.
@@ -78,17 +83,20 @@ class OrderTheory:
         ``stop`` is the trail position the theory has consumed up to —
         the failing literal's position on a conflict, ``len(trail)``
         otherwise."""
-        var_edges = self.var_edges
-        n_vars = len(var_edges)
+        tail, head = self.tail, self.head
+        n_vars = len(tail)
         for position in range(start, len(trail)):
             lit = trail[position]
             var = lit if lit > 0 else -lit
             if var >= n_vars:
                 continue
-            pair = var_edges[var]
-            if pair is None:
+            a = tail[var]
+            if a < 0:
                 continue
-            a, b = pair if lit > 0 else (pair[1], pair[0])
+            if lit > 0:
+                b = head[var]
+            else:
+                a, b = head[var], a
             conflict = self._add_edge(a, b, lit, position)
             if conflict is not None:
                 return conflict, position
@@ -97,10 +105,10 @@ class OrderTheory:
     def phase(self, var, saved):
         """Decide an order atom the way the current topological order
         already places its nodes: that edge cannot close a cycle."""
-        pair = self.var_edges[var] if var < len(self.var_edges) else None
-        if pair is None:
+        a = self.tail[var] if var < len(self.tail) else -1
+        if a < 0:
             return saved
-        return self.ord[pair[0]] < self.ord[pair[1]]
+        return self.ord[a] < self.ord[self.head[var]]
 
     def backtrack(self, trail_len):
         """Drop every edge asserted at trail position ``>= trail_len``."""

@@ -44,7 +44,10 @@ from repro.tracing.logfmt import encode_tokens
 #     theory, and the happens-before pruner is gone with its two
 #     ConstraintSystem fields; a v4 system carries eager no-middle
 #     clauses and pruned reads-from candidates.
-ANALYSIS_SCHEMA_VERSION = 5
+# v6: the ConstraintSystem carries F as an integer image (atom table,
+#     flat per-kind literal lists, Frw universes) instead of Clause,
+#     ExactlyOne and AtMostOne objects; a v5 entry may not even unpickle.
+ANALYSIS_SCHEMA_VERSION = 6
 
 
 class AnalysisCache:

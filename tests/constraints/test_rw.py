@@ -1,10 +1,20 @@
 """Frw: reads-from candidates and no-intervening-write clauses."""
 
 from repro.analysis.symexec import SymSAP, ThreadSummary
-from repro.constraints.model import INIT, ConstraintSystem, Lit, OLt, RFChoice
-from repro.constraints.rw import encode_read_write, no_middle_count
+from repro.constraints.model import INIT, AtomTable, ConstraintSystem, OLt, RFChoice
+from repro.constraints.rw import encode_read_write as encode_numbered
+from repro.constraints.rw import frw_universes, no_middle_count
 from repro.runtime import events as ev
 from repro.solver.smt import ClapSmtSolver
+
+from tests.constraints.image import literal, pairs
+
+
+def encode_read_write(summaries):
+    """Frw's rf clauses decoded to atoms, its groups and candidates."""
+    table = AtomTable()
+    rf_before, rf_init, groups, rf = encode_numbered(summaries, table)
+    return pairs(table, rf_before) + pairs(table, rf_init), groups, rf
 
 
 def summary(thread, kinds_addrs):
@@ -20,7 +30,7 @@ def test_read_candidates_include_init_and_writes():
     clauses, eo, rf = encode_read_write({"1": t1, "2": t2})
     assert rf[("1", 0)] == [("2", 0), ("2", 1), INIT]
     assert len(eo) == 1
-    assert len(eo[0].lits) == 3
+    assert len(eo[0]) == 3
 
 
 def test_same_thread_later_write_pruned():
@@ -54,28 +64,26 @@ def test_array_elements_are_distinct_addresses():
 def no_middle_clauses(summaries):
     """The solver-side no-middle clauses of ``summaries``' Frw, decoded
     back to atoms: ``[¬rf(r <- w), O_w' < O_w, O_r < O_w']`` each."""
-    clauses, eo, rf = encode_read_write(summaries)
+    table = AtomTable()
+    rf_before, rf_init, groups, rf = encode_numbered(summaries, table)
     system = ConstraintSystem(
         memory_model="sc",
         summaries=summaries,
-        clauses=clauses,
-        exactly_one=eo,
+        rf_before=rf_before,
+        rf_init=rf_init,
         rf_candidates=rf,
     )
     for s in summaries.values():
         for sap in s.saps:
             system.saps[sap.uid] = sap
+    system.universes = frw_universes(rf, system.saps, table)
+    system.atoms, system.atom_kinds = table.atoms, table.kinds
     solver = ClapSmtSolver(system)
+    solver.frw = None  # enumerate the clauses instead of handing them over
     triples = []
-    solver._eager_no_middle(triples.append)
-
-    def atom_lit(lit):
-        atom = solver.var_atom[abs(lit)]
-        if isinstance(atom, OLt):
-            return Lit(atom if lit > 0 else atom.negated())
-        return Lit(atom, lit > 0)
-
-    return [[atom_lit(lit) for lit in triple] for triple in triples], rf
+    solver._no_middle(triples)
+    decoded = [[literal(table.atoms, table.kinds, lit) for lit in t] for t in triples]
+    return decoded, rf
 
 
 def test_no_intervening_write_clause_shape():
@@ -86,8 +94,8 @@ def test_no_intervening_write_clause_shape():
     assert len(nomid) == 2 == no_middle_count(rf)
     r, w0, w1 = ("1", 0), ("2", 0), ("2", 1)
     assert nomid == [
-        [Lit(RFChoice(r, w0), False), Lit(OLt(w1, w0)), Lit(OLt(r, w1))],
-        [Lit(RFChoice(r, w1), False), Lit(OLt(w0, w1)), Lit(OLt(r, w0))],
+        [("not", RFChoice(r, w0)), OLt(w1, w0), OLt(r, w1)],
+        [("not", RFChoice(r, w1)), OLt(w0, w1), OLt(r, w0)],
     ]
 
 
@@ -95,8 +103,9 @@ def test_init_choice_orders_read_before_all_writes():
     t1 = summary("1", [(ev.READ, ("x",))])
     t2 = summary("2", [(ev.WRITE, ("x",)), (ev.WRITE, ("x",))])
     clauses, _, _ = encode_read_write({"1": t1, "2": t2})
-    init_clauses = [c for c in clauses if c.origin == "rf-init"]
-    assert len(init_clauses) == 2
+    r, init = ("1", 0), ("not", RFChoice(("1", 0), INIT))
+    init_clauses = [c for c in clauses if c[0] == init]
+    assert init_clauses == [[init, OLt(r, ("2", 0))], [init, OLt(r, ("2", 1))]]
 
 
 def test_clause_count_matches_quadratic_bound():

@@ -3,9 +3,23 @@
 import pytest
 
 from repro.analysis.symexec import SymSAP, ThreadSummary
-from repro.constraints.model import OLt, SWChoice
-from repro.constraints.sync_order import SyncEncodingError, encode_sync_order
+from repro.constraints.model import AtomTable, OLt, SWChoice
+from repro.constraints.sync_order import SyncEncodingError
+from repro.constraints.sync_order import encode_sync_order as encode_numbered
 from repro.runtime import events as ev
+
+from tests.constraints.image import clauses as decoded
+
+
+def encode_sync_order(summaries, **kwargs):
+    """Fso with its clauses and at-most-one groups decoded to atoms."""
+    table = AtomTable()
+    hard, clauses, sw_once, sw = encode_numbered(summaries, table, **kwargs)
+    return hard, decoded(table, clauses), decoded(table, sw_once), sw
+
+
+def lock_exclusions(clauses):
+    return [c for c in clauses if all(isinstance(l, OLt) for l in c)]
 
 
 def summary(thread, kinds_addrs):
@@ -45,12 +59,12 @@ def test_lock_regions_mutually_exclude():
         "2", [(ev.LOCK, "m"), (ev.UNLOCK, "m")]
     )
     hard, clauses, _, _ = encode_sync_order({"1": t1, "2": t2})
-    excl = [c for c in clauses if c.origin == "lock-excl"]
+    excl = lock_exclusions(clauses)
     assert len(excl) == 1
-    lits = excl[0].lits
+    lits = excl[0]
     assert len(lits) == 2
     # u1 < l2  or  u2 < l1
-    atoms = {(l.atom.a, l.atom.b) for l in lits}
+    atoms = {(l.a, l.b) for l in lits}
     assert atoms == {((("1", 1)), (("2", 0))), ((("2", 1)), (("1", 0)))}
 
 
@@ -76,7 +90,7 @@ def test_same_thread_regions_skip_exclusion_clause():
         [(ev.LOCK, "m"), (ev.UNLOCK, "m"), (ev.LOCK, "m"), (ev.UNLOCK, "m")],
     )
     hard, clauses, _, _ = encode_sync_order({"1": t1})
-    assert not [c for c in clauses if c.origin == "lock-excl"]
+    assert not lock_exclusions(clauses)
 
 
 def test_relock_while_held_is_an_error():
@@ -103,11 +117,16 @@ def test_wait_maps_to_candidate_signals():
     waiter = wait_thread()
     hard, clauses, amo, sw = encode_sync_order({"1": signaller, "2": waiter})
     assert sw[("2", 2)] == [("1", 0), ("1", 1)]
-    # signal->wait order and release->signal order clauses exist per choice.
-    origins = [c.origin for c in clauses]
-    assert origins.count("sw-order") == 2
-    assert origins.count("sw-release") == 2
-    assert origins.count("sw-some") == 1
+    # release->signal and signal->wait order clauses exist per choice,
+    # then the wait picks some signal.
+    release, wait = ("2", 1), ("2", 2)
+    assert clauses == [
+        [("not", SWChoice(("1", 0), wait)), OLt(release, ("1", 0))],
+        [("not", SWChoice(("1", 0), wait)), OLt(("1", 0), wait)],
+        [("not", SWChoice(("1", 1), wait)), OLt(release, ("1", 1))],
+        [("not", SWChoice(("1", 1), wait)), OLt(("1", 1), wait)],
+        [SWChoice(("1", 0), wait), SWChoice(("1", 1), wait)],
+    ]
 
 
 def test_signal_wakes_at_most_one_wait():
@@ -118,7 +137,7 @@ def test_signal_wakes_at_most_one_wait():
         {"1": signaller, "2": w1, "3": w2}
     )
     assert len(amo) == 1
-    assert {l.atom for l in amo[0].lits} == {
+    assert set(amo[0]) == {
         SWChoice(("1", 0), ("2", 2)),
         SWChoice(("1", 0), ("3", 2)),
     }

@@ -6,7 +6,8 @@ own virtual clause, watched by the negations of its literals, and marks
 a clause once it is handed over: the theory the solver used before the
 structured watches of :mod:`repro.solver.frw`.  It lives here only, as
 the reference.  ``_PerClauseSolver`` loads F the way that solver did:
-clause by clause, in the order of :meth:`ClapSmtSolver._eager_no_middle`.
+clause by clause through ``add_clause``, with every no-middle clause
+enumerated in the order of the eager build.
 
 The structured theory must hand over the same lemmas and conflicts in
 the same order, so every search counter, the fixed-order closure's
@@ -19,11 +20,12 @@ import pytest
 
 from repro.bench.programs import TABLE1_NAMES, get_benchmark
 from repro.bench.workloads import HOT_VAR_TEMPLATE
-from repro.constraints.model import INIT
+from repro.constraints.model import INIT, clause_groups
 from repro.constraints.rw import no_middle_count
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.minilang import compile_source
 from repro.solver.frw import FrwTheory
+from repro.solver import smt
 from repro.solver.smt import ClapSmtSolver
 
 from tests.constraints.test_hb_differential import table1_artifacts
@@ -98,22 +100,32 @@ class _PerClauseSolver(ClapSmtSolver):
         self.frw = _PerClauseFrw(self.sat.assign, self.order)
         self.sat.attach_theory(self.frw)
         system = self.system
-        for clause in system.clauses:
-            self._add_clause(clause.lits)
-        for group in system.exactly_one:
-            self._add_clause(group.lits)
-            self._pairwise(group.lits)
-        for group in system.at_most_one:
-            self._pairwise(group.lits)
-        self._eager_no_middle(self.frw.add)
-
-    def _pairwise(self, group):
-        lits = [self._lit(l) for l in group]
-        concrete = [l for l in lits if l is not True and l is not False]
-        sink = self.frw.add if len(concrete) > 2 else self.sat.add_clause
-        for i in range(len(concrete)):
-            for j in range(i + 1, len(concrete)):
-                sink([-concrete[i], -concrete[j]])
+        clauses = []
+        self._fold(clause_groups(system.sync), clauses)
+        self._fold(self._rf_clauses(), clauses)
+        self._fold(clause_groups(system.goals), clauses)
+        for flat, exactly in (
+            (system.rf_one, True),
+            (system.sw_once, False),
+            (system.rf_horizon, False),
+        ):
+            for group in clause_groups(flat):
+                for var in group:
+                    self.used[var] = 1
+                if exactly:
+                    clauses.append(group)
+                sink = self.frw.add if len(group) > 2 else clauses.append
+                for i in range(len(group)):
+                    for j in range(i + 1, len(group)):
+                        sink([-group[i], -group[j]])
+        frw, self.frw = self.frw, None
+        no_middle = []
+        self._no_middle(no_middle)
+        self.frw = frw
+        for clause in no_middle:
+            (clauses.append if len(clause) == 1 else frw.add)(clause)
+        for clause in clauses:
+            self.sat.add_clause(clause)
 
 
 def _outcome(solver, result):
@@ -133,7 +145,7 @@ def assert_same_search(system, solve):
     structured = ClapSmtSolver(system)
     reference = _PerClauseSolver(system)
     assert isinstance(structured.frw, FrwTheory)
-    assert structured.atom_var == reference.atom_var
+    assert structured.used == reference.used
     got = _outcome(structured, solve(structured))
     want = _outcome(reference, solve(reference))
     assert got == want
@@ -168,7 +180,7 @@ def test_ladder_same_lemmas(name):
     assert got["bound"] >= 0
 
 
-def test_structure_is_linear_on_the_hot_variable():
+def test_structure_is_linear_on_the_hot_variable(monkeypatch):
     """At size 12 of the hot-variable workload (Frw's ``4·Nr·Nw²`` worst
     case) the theory stores one entry per (read, candidate write) pair,
     per ordered pair of co-candidate writes and per group member, and the
@@ -180,11 +192,11 @@ def test_structure_is_linear_on_the_hot_variable():
     )
     system = pipeline.analyze(pipeline.record())
 
-    class _NoTriples(ClapSmtSolver):
-        def _eager_no_middle(self, sink):
-            raise AssertionError("the default build enumerated triples")
+    def no_triples(records, before, out):
+        raise AssertionError("the default build enumerated triples")
 
-    solver = _NoTriples(system)
+    monkeypatch.setattr(smt, "_enumerate_no_middle", no_triples)
+    solver = ClapSmtSolver(system)
     rw_pairs = 0
     write_pairs = set()
     for sources in system.rf_candidates.values():

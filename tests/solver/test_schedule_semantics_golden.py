@@ -26,7 +26,7 @@ import hashlib
 import pytest
 
 from repro.bench.programs import TABLE1_NAMES, get_benchmark
-from repro.constraints.model import INIT, SWChoice
+from repro.constraints.model import INIT, AtomTable
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.runtime import events as ev
 from repro.solver.schedule_gen import ScheduleGenerator
@@ -125,7 +125,7 @@ def _passing_system(source, seed):
     system.hard_edges.extend(edges)
     system.thread_order = per_thread
     # The fork/join and wait edges the encoder adds to every system.
-    system.hard_edges.extend(encode_sync_order(summaries)[0])
+    system.hard_edges.extend(encode_sync_order(summaries, AtomTable())[0])
     return system
 
 
@@ -149,7 +149,7 @@ def _sample(items, count):
 
 
 def _combo(system, schedule):
-    """The reads-from map and signal-wait pairs ``schedule`` exhibits:
+    """The reads-from map and ``(signal, wait)`` pairs ``schedule`` exhibits:
     each read reads the last earlier write, each wait pairs with the
     last earlier signal or broadcast on its condvar."""
     rf = {}
@@ -165,7 +165,7 @@ def _combo(system, schedule):
         elif sap.kind in (ev.SIGNAL, ev.BROADCAST):
             last_signal[sap.addr] = uid
         elif sap.kind == ev.WAIT and sap.addr in last_signal:
-            sw.append(SWChoice(last_signal[sap.addr], uid))
+            sw.append((last_signal[sap.addr], uid))
     return rf, sw
 
 
@@ -176,9 +176,9 @@ def _linearizations(system, solver, rf, sw):
     for read, source in sorted(rf.items()):
         if source != INIT:
             adjacency[source].append((read, None))
-    for atom in sw:
-        adjacency[atom.signal].append((atom.wait, None))
-    wake_map = {atom.signal: atom.wait for atom in sw}
+    for signal, wait in sw:
+        adjacency[signal].append((wait, None))
+    wake_map = dict(sw)
     out = []
     for start in sorted(system.summaries):
         for budget in (1200, 40):

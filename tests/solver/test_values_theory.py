@@ -27,7 +27,7 @@ from repro.analysis.escape import shared_variables
 from repro.analysis.symexec import execute_recorded_paths
 from repro.bench.programs import TABLE1_NAMES, get_benchmark
 from repro.constraints.encoder import encode
-from repro.constraints.model import RFChoice
+from repro.constraints.model import RF
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.minilang import compile_source
 from repro.runtime.replay import replay_schedule
@@ -72,10 +72,11 @@ class _CheckedValues(ValuesTheory):
 def _checked(system):
     solver = ClapSmtSolver(system)
     theory = solver.values
+    kinds = system.atom_kinds
     choices = {
-        var: (atom.read, atom.source)
-        for var, atom in solver.var_atom.items()
-        if isinstance(atom, RFChoice)
+        var: system.atoms[var]
+        for var in range(1, system.n_vars + 1)
+        if solver.used[var] and kinds[var] == RF
     }
     solver.values = _CheckedValues(
         system, choices, solver.sat.stats, theory.inner, solver.sat.assign

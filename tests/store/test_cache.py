@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro.constraints import model
 from repro.core.clap import ClapConfig, ClapPipeline
 from repro.store.cache import ANALYSIS_SCHEMA_VERSION, AnalysisCache
 
@@ -61,7 +62,10 @@ def test_miss_store_hit_roundtrip(tmp_path, recorded_race):
     assert cache.stats.bytes_read == cache.stats.bytes_written
     # The deserialized system is semantically the stored one.
     assert system2.rf_candidates == system.rf_candidates
-    assert len(system2.clauses) == len(system.clauses)
+    assert system2.atoms == system.atoms
+    assert system2.sync == system.sync
+    assert system2.rf_before == system.rf_before
+    assert system2.universes == system.universes
     assert system2.summaries.keys() == system.summaries.keys()
     for thread in system.summaries:
         assert system2.summaries[thread] == system.summaries[thread]
@@ -105,6 +109,46 @@ def test_v4_entry_is_a_miss(tmp_path, recorded_race):
     assert timings["cache"] == "miss"
     assert cache.stats.stale == 1
     assert cache.stats.hits == 0
+
+
+def test_v5_entry_is_a_stale_miss(tmp_path, recorded_race, monkeypatch):
+    """A v5 entry pickles the object-level ConstraintSystem, whose
+    ``Clause`` groups are gone from the model module: it must be a stale
+    miss that is deleted, not a crash, and the next analyze stores the
+    integer image in its place."""
+    pipeline, recorded = recorded_race
+    cache = AnalysisCache(str(tmp_path / "cache"))
+    analyze_with(pipeline, recorded, cache)
+    [path] = cache.entry_paths()
+    with open(path, "rb") as fh:
+        payload = pickle.loads(fh.read())
+
+    class Clause:
+        def __init__(self, lits, origin):
+            self.lits = lits
+            self.origin = origin
+
+    Clause.__module__, Clause.__qualname__ = model.__name__, "Clause"
+    monkeypatch.setattr(model, "Clause", Clause, raising=False)
+    system = payload["system"]
+    for name in ("atoms", "atom_kinds", "sync", "rf_before", "rf_init", "universes"):
+        delattr(system, name)
+    system.clauses = [Clause([1, 2], "rf-before")]
+    payload["schema"] = 5
+    with open(path, "wb") as fh:
+        fh.write(pickle.dumps(payload))
+    monkeypatch.delattr(model, "Clause")
+
+    assert cache.load(material_of(pipeline, recorded)) is None
+    assert cache.stats.stale == 1 and cache.stats.hits == 0
+    assert not os.path.exists(path)
+    system, timings = analyze_with(pipeline, recorded, cache)
+    assert timings["cache"] == "miss"
+    [path] = cache.entry_paths()
+    with open(path, "rb") as fh:
+        stored = pickle.loads(fh.read())
+    assert stored["schema"] == ANALYSIS_SCHEMA_VERSION == 6
+    assert stored["system"].atoms == system.atoms
 
 
 def test_unreadable_entry_is_stale(tmp_path, recorded_race):
