@@ -4,9 +4,11 @@ Every seed-dependent artifact — Tables 1-3, the corpus bytes, the failing
 runs the pipeline benchmark picks — rests on the scheduler making the same
 choices, with the same random draws, at the same granularity.  This test
 pins that down: for each case it digests ``ClapPipeline.record_once``
-output (``ExecutionResult.steps``, the bug's kind and message, every
-thread's log tokens and the ring section) with sha256 and compares it with
-``schedule_golden.json``.
+output (``ExecutionResult.steps``, the bug's kind and message, the
+memory-order SAP uids of ``ExecutionResult.schedule()``, the final
+globals, the program output, every thread's ``ThreadStats``, every
+thread's log tokens and the ring section) with sha256 and compares it
+with ``schedule_golden.json``.
 
 The cases:
 
@@ -107,9 +109,20 @@ def _json_default(obj):
 def run_digest(recorded):
     """sha256 over one recorded run's scheduling-dependent output."""
     h = hashlib.sha256()
-    bug = recorded.result.bug
-    h.update(repr(recorded.result.steps).encode())
+    result = recorded.result
+    bug = result.bug
+    h.update(repr(result.steps).encode())
     h.update(repr(None if bug is None else (bug.kind, bug.message)).encode())
+    h.update(repr(result.schedule()).encode())
+    h.update(repr(sorted(result.final_globals.items())).encode())
+    h.update(repr(result.output).encode())
+    for thread in sorted(result.stats):
+        stats = result.stats[thread]
+        h.update(
+            repr(
+                (thread, stats.instructions, stats.branches, stats.saps, stats.sync_ops)
+            ).encode()
+        )
     for thread in sorted(recorded.recorder.logs):
         h.update(repr((thread, recorded.recorder.logs[thread])).encode())
     h.update(
