@@ -45,10 +45,16 @@ class RandomScheduler(Scheduler):
     relaxed-memory reorderings to be observable.
 
     The random draws per decision are fixed: one ``random()`` for the
-    flush coin when both kinds of choice exist, a ``choice()`` among the
+    flush coin when both kinds of choice exist, an index draw among the
     flushes, or else one ``random()`` for stickiness when there is a
-    previous thread and a ``choice()`` unless it sticks.  Every recorded
+    previous thread and an index draw unless it sticks.  Every recorded
     run depends on this sequence.
+
+    An index draw below ``n`` is what ``rng.choice`` makes on CPython
+    (``Random._randbelow_with_getrandbits``): ``getrandbits(k)`` with
+    ``k = n.bit_length()``, redrawn until it is below ``n``, so a
+    one-element pool still consumes one 1-bit draw.  ``pick`` makes it
+    inline, without the two Python calls of ``choice``.
     """
 
     def __init__(self, seed=0, stickiness=0.7, flush_prob=0.35):
@@ -65,17 +71,24 @@ class RandomScheduler(Scheduler):
     def pick(self, tids, flushes, yielded):
         rng = self.rng
         if flushes and (not tids or rng.random() < self.flush_prob):
-            return rng.choice(flushes)
-        # Honour sched_yield: a thread that just yielded loses its turn
-        # when any other thread can run.
-        pool = tids
-        if yielded:
-            pool = [tid for tid in tids if tid not in yielded] or tids
-        last = self.last_tid
-        if last is not None and rng.random() < self.stickiness and last in pool:
-            return last
-        tid = rng.choice(pool)
-        self.last_tid = tid
+            pool = flushes
+        else:
+            # Honour sched_yield: a thread that just yielded loses its turn
+            # when any other thread can run.
+            pool = tids
+            if yielded:
+                pool = [tid for tid in tids if tid not in yielded] or tids
+            last = self.last_tid
+            if last is not None and rng.random() < self.stickiness and last in pool:
+                return last
+        n = len(pool)
+        k = n.bit_length()
+        index = rng.getrandbits(k)
+        while index >= n:
+            index = rng.getrandbits(k)
+        if pool is flushes:
+            return flushes[index]
+        tid = self.last_tid = pool[index]
         return tid
 
 

@@ -62,6 +62,22 @@ def test_division_by_zero_is_runtime_error():
         run_program(prog)
 
 
+@pytest.mark.parametrize(
+    "src, op, message",
+    [
+        ("int x = 2; int main() { x = x * 3; }", "*", "unknown binary operator '**'"),
+        ("int x = 2; int main() { x = -x; }", "-", "unknown unary operator '**'"),
+    ],
+)
+def test_unknown_operator_is_runtime_error(src, op, message):
+    prog = compile_source(src)
+    instrs = [i for b in prog.function("main").blocks for i in b.instrs]
+    (instr,) = [i for i in instrs if i.op in ("BINOP", "UNOP") and i.arg == op]
+    instr.arg = "**"
+    with pytest.raises(MiniRuntimeError, match=message.replace("*", r"\*")):
+        run_program(prog)
+
+
 def test_assert_failure_reported():
     res = run_src("int main() { assert(1 == 2); return 0; }")
     assert res.bug is not None

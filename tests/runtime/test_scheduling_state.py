@@ -6,7 +6,8 @@ memory model keeps its flushable store-buffer heads up to date on every
 write and flush.  These tests check after every step of SC, TSO and PSO
 runs that the maintained state equals a fresh scan, and that
 ``RandomScheduler.pick`` makes the same choice with the same random draws
-as the tuple-list ``choose`` it replaced.
+as the tuple-list ``choose`` it replaced, which drew with ``rng.choice``,
+at every pool size around the powers of two.
 """
 
 import random
@@ -112,12 +113,14 @@ def test_maintained_state_after_restore():
     assert result.steps > 0
 
 
-def _choose_oracle(self, actions, interp):
+def _choose_oracle(self, actions, interp, drawn):
     """The former ``RandomScheduler.choose`` body, over
-    ``("step", tid)`` / ``("flush", pending)`` action tuples."""
+    ``("step", tid)`` / ``("flush", pending)`` action tuples.  Appends
+    ``(kind, pool size)`` to ``drawn`` for each ``choice`` it makes."""
     flushes = [a for a in actions if a[0] == "flush"]
     steps = [a for a in actions if a[0] == "step"]
     if flushes and (not steps or self.rng.random() < self.flush_prob):
+        drawn.append(("flush", len(flushes)))
         return self.rng.choice(flushes)
     # Honour sched_yield: a thread that just yielded loses its turn
     # when any other thread can run.
@@ -129,32 +132,48 @@ def _choose_oracle(self, actions, interp):
         for action in pool:
             if action[1] == self.last_tid:
                 return action
+    drawn.append(("step", len(pool)))
     action = self.rng.choice(pool)
     self.last_tid = action[1]
     return action
 
 
+# Pool sizes around the powers of two, where an index draw of
+# ``n.bit_length()`` bits is redrawn (every size but 1, 2, 4, 8 and 16
+# can overshoot; 1 still takes a 1-bit draw).
+POOL_SIZES = (*range(1, 10), 16, 17)
+
+
+def test_randbelow_is_the_getrandbits_draw():
+    """``RandomScheduler.pick`` draws an index as ``Random.choice`` does
+    through ``Random._randbelow_with_getrandbits``.  A Python whose
+    ``choice`` draws otherwise would move every recorded run, so it must
+    fail here first."""
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
 def test_pick_matches_choose_draw_for_draw():
     gen = random.Random(20130616)
     decisions = 0
-    for _ in range(200):
+    drawn = []
+    for _ in range(300):
         seed = gen.randrange(1 << 30)
         stickiness = gen.choice((0.0, 0.3, 0.7, 1.0))
         flush_prob = gen.choice((0.0, 0.05, 0.35, 1.0))
         new = RandomScheduler(seed, stickiness=stickiness, flush_prob=flush_prob)
         old = RandomScheduler(seed, stickiness=stickiness, flush_prob=flush_prob)
         for _ in range(40):
-            tids = sorted(gen.sample(range(1, 9), gen.randint(0, 5)))
+            tids = sorted(gen.sample(range(1, 20), gen.choice((0,) + POOL_SIZES)))
             flushes = [
-                PendingStore(gen.randint(1, 8), ("x", i), i)
-                for i in range(gen.randint(0, 4))
+                PendingStore(gen.randint(1, 19), ("x", i), i)
+                for i in range(gen.choice((0,) + POOL_SIZES))
             ]
             if not tids and not flushes:
                 continue
-            yielded = {tid for tid in tids if gen.random() < 0.3}
+            yielded = {tid for tid in tids if gen.random() < 0.2}
             if gen.random() < 0.3:
                 # A sticky last thread: runnable, yielded, or gone.
-                last = gen.choice(tids + [None, 9])
+                last = gen.choice(tids + [None, 99])
                 new.last_tid = old.last_tid = last
             actions = [("step", tid) for tid in tids]
             actions += [("flush", pending) for pending in flushes]
@@ -164,7 +183,7 @@ def test_pick_matches_choose_draw_for_draw():
                     for tid in tids
                 }
             )
-            kind, expected = _choose_oracle(old, actions, interp)
+            kind, expected = _choose_oracle(old, actions, interp, drawn)
             got = new.pick(tids, flushes, yielded)
             if kind == "flush":
                 assert got is expected
@@ -173,4 +192,7 @@ def test_pick_matches_choose_draw_for_draw():
             assert new.rng.getstate() == old.rng.getstate()
             assert new.last_tid == old.last_tid
             decisions += 1
-    assert decisions > 5_000
+    assert decisions > 10_000
+    for kind in ("step", "flush"):
+        sizes = {size for k, size in drawn if k == kind}
+        assert set(POOL_SIZES) <= sizes, (kind, sorted(sizes))
