@@ -23,9 +23,9 @@ The cases:
   workload: the first ``FLIGHT_RUNS`` failing runs among seeds
   ``0 … SEED_WINDOW-1``.
 
-The cases run in a child process with ``PYTHONHASHSEED=0``, as the
-pipeline benchmark's ``--seed 0`` runs do: a few search counters depend
-on set iteration order (apache's decisions move with the hash seed).
+No count depends on the hash seed: the cases run in the test's own
+process, and ``python -m tests.solver.test_solver_golden`` prints the same
+records under any ``PYTHONHASHSEED``.
 
 A change that moves any count fails with the diverging cases named.
 Regenerate only after an intended change of the encoding or the search::
@@ -36,7 +36,6 @@ Regenerate only after an intended change of the encoding or the search::
 import hashlib
 import json
 import os
-import subprocess
 import sys
 
 from repro.bench.programs import TABLE1_NAMES, get_benchmark
@@ -45,7 +44,6 @@ from repro.core.clap import ClapConfig, ClapPipeline
 from repro.solver.smt import solve_constraints_bounded
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(os.path.dirname(HERE))
 GOLDEN = os.path.join(HERE, "solver_golden.json")
 REGEN = bool(os.environ.get("REGEN_SOLVER_GOLDEN"))
 
@@ -130,19 +128,7 @@ def solve_records():
 
 
 def test_solver_counts_match_golden():
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (os.path.join(ROOT, "src"), ROOT, env.get("PYTHONPATH")))
-    )
-    child = subprocess.run(
-        [sys.executable, "-m", "tests.solver.test_solver_golden"],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    records = json.loads(child.stdout)
+    records = solve_records()
     if REGEN:
         with open(GOLDEN, "w") as fh:
             json.dump(records, fh, indent=1, sort_keys=True)
