@@ -24,7 +24,10 @@ class SolverPhaseStats:
     clauses the search needed, out of the many it kept virtual.
     ``value_conflicts`` counts the theory conflicts the values theory
     raised: a path condition or the bug predicate false once every read
-    it depends on has its reads-from choice.
+    it depends on has its reads-from choice.  ``completion_decisions``
+    counts the decisions (already in ``decisions``) on variables left to
+    the theory's completion, each made for a clause the completion
+    falsified: in the CLAP solver, the only decisions on order atoms.
     """
 
     solve_calls: int = 0
@@ -38,6 +41,7 @@ class SolverPhaseStats:
     theory_conflicts: int = 0
     lemmas: int = 0
     value_conflicts: int = 0
+    completion_decisions: int = 0
 
     def as_dict(self):
         return asdict(self)

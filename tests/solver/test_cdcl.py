@@ -239,6 +239,9 @@ class _LateTheory:
     def phase(self, var, saved):
         return saved
 
+    def complete(self, assign):
+        return [], None
+
 
 def _late(clause, trigger, clauses=()):
     solver = CDCLSolver()
@@ -306,6 +309,9 @@ class _RefuteEverything:
 
     def phase(self, var, saved):
         return saved
+
+    def complete(self, assign):
+        return [], None
 
 
 def test_interrupt_stops_a_search_of_theory_conflicts():

@@ -39,6 +39,7 @@ class _PerClauseFrw:
         self.inner = inner
         # Clause id -> its literals, or None once handed to the core.
         self.clauses = []
+        self.virtual = []  # clause id -> its literals
         self.watch = {}  # assigned literal -> ids of clauses it falsifies
         self.head = 0  # trail positions before this one are checked
         self.cursor = 0  # next watch-list index at trail[head]
@@ -47,6 +48,7 @@ class _PerClauseFrw:
     def add(self, lits):
         cid = len(self.clauses)
         self.clauses.append(lits)
+        self.virtual.append(lits)
         for lit in lits:
             self.watch.setdefault(-lit, []).append(cid)
 
@@ -84,6 +86,17 @@ class _PerClauseFrw:
 
     def phase(self, var, saved):
         return self.inner.phase(var, saved)
+
+    def complete(self, assign):
+        """The first clause, handed over or not, that the inner theory's
+        completion falsifies."""
+        completed, clause = self.inner.complete(assign)
+        if clause is not None:
+            return completed, clause
+        for lits in self.virtual:
+            if not any(assign[abs(lit)] is (lit > 0) for lit in lits):
+                return completed, lits
+        return completed, None
 
     def backtrack(self, trail_len):
         if self.head >= trail_len:
