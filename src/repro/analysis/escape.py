@@ -130,13 +130,14 @@ def thread_roots(program):
 
 
 def shared_variables(program):
-    """The set of data-global names CLAP must treat as shared.
+    """The frozenset of data-global names CLAP must treat as shared.
 
-    This is the "#SV" column of Table 1.
+    This is the "#SV" column of Table 1.  A compiled program keeps it
+    (:attr:`~repro.minilang.compiler.CompiledProgram.shared`).
     """
-    return {
+    return frozenset(
         name for name, (is_shared, _) in classify_variables(program).items() if is_shared
-    }
+    )
 
 
 def classify_variables(program):

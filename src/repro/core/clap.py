@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.minilang import compile_source
 from repro.minilang.compiler import CompiledProgram
-from repro.analysis.escape import shared_variables
 from repro.analysis.symexec import execute_recorded_paths
 from repro.constraints.encoder import encode
 from repro.constraints.stats import compute_stats
@@ -32,7 +31,6 @@ from repro.runtime.interpreter import Interpreter
 from repro.runtime.replay import replay_schedule
 from repro.runtime.scheduler import RandomScheduler
 from repro.tracing.decoder import decode_log, decode_thread_tokens
-from repro.tracing.ball_larus import ProgramPaths
 from repro.tracing.recorder import (
     FastPathRecorder,
     PathRecorder,
@@ -189,8 +187,8 @@ class ClapPipeline:
             raise TypeError("program must be MiniLang source or CompiledProgram")
         self.program = program
         self.config = config or ClapConfig()
-        self.shared = shared_variables(program)
-        self.paths = ProgramPaths.build(program)
+        self.shared = program.shared
+        self.paths = program.paths
 
     # -- phase 1 ----------------------------------------------------------
 

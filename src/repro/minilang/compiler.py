@@ -10,6 +10,7 @@ the Ball-Larus instrumenter can find loop re-entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.minilang import ast_nodes as ast
 from repro.minilang import bytecode as bc
@@ -35,6 +36,22 @@ class CompiledProgram:
 
     def instruction_count(self):
         return sum(f.instruction_count() for f in self.functions.values())
+
+    @cached_property
+    def paths(self):
+        """The Ball-Larus numbering of every function
+        (:class:`~repro.tracing.ball_larus.ProgramPaths`), built once."""
+        from repro.tracing.ball_larus import ProgramPaths
+
+        return ProgramPaths.build(self)
+
+    @cached_property
+    def shared(self):
+        """The data globals CLAP treats as shared, as a frozenset
+        (:func:`~repro.analysis.escape.shared_variables`), computed once."""
+        from repro.analysis.escape import shared_variables
+
+        return shared_variables(self)
 
 
 class _FunctionCompiler:

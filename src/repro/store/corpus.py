@@ -40,7 +40,6 @@ import shutil
 import time
 from dataclasses import asdict, dataclass
 
-from repro.analysis.escape import shared_variables
 from repro.core.clap import ClapConfig, ClapPipeline, RecordedExecution
 from repro.minilang import compile_source
 from repro.runtime.events import BugReport
@@ -53,7 +52,6 @@ from repro.store.container import (
     compact_container,
 )
 from repro.store.recover import RecoveryReport, recover_tokens
-from repro.tracing.ball_larus import ProgramPaths
 from repro.tracing.logfmt import SegmentAnchor, decode_tokens, encode_tokens
 from repro.tracing.recorder import PathRecorder, StreamingTraceSink
 
@@ -292,7 +290,7 @@ class CorpusEntry:
         ``allow_recover`` is set.  Returns a :class:`StoredExecution`.
         """
         program = self.compile_program()
-        paths = ProgramPaths.build(program)
+        paths = program.paths
         reader = ClapReader.open(self.trace_path)
         ring = self.manifest.get("ring")
         if ring is None and any(c.flags & CHUNK_RING for c in reader.chunks):
@@ -317,7 +315,7 @@ class CorpusEntry:
             seed=self.manifest["record"]["seed"],
             result=_StoredResult(self.bug(), self.manifest.get("stats", {})),
             recorder=recorder,
-            shared=shared_variables(program),
+            shared=program.shared,
             ring=None if ring is None else revive_ring(ring),
             # None for legacy manifests, which then load under any model.
             memory_model=self.manifest["record"].get("memory_model"),
@@ -359,7 +357,7 @@ class CorpusEntry:
         else:
             program = self.compile_program()
             logs, report = self._recover_tokens(
-                reader, program, ProgramPaths.build(program)
+                reader, program, program.paths
             )
             meta = dict(reader.meta)
             meta.pop("format", None)

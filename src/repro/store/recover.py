@@ -32,10 +32,8 @@ service reports that outcome honestly.
 
 from dataclasses import dataclass, field
 
-from repro.analysis.escape import shared_variables
 from repro.analysis.symexec import SymExecError, execute_recorded_paths
 from repro.minilang import bytecode as bc
-from repro.tracing.ball_larus import ProgramPaths
 from repro.tracing.decoder import LogDecodeError, decode_thread_tokens
 
 
@@ -215,7 +213,7 @@ def recover_tokens(logs, program, paths=None, bug=None, shared=None):
     failure cannot be reproduced at all).
     """
     if paths is None:
-        paths = ProgramPaths.build(program)
+        paths = program.paths
     func_ids = {name: i for i, name in enumerate(sorted(program.functions))}
     func_names = {i: name for name, i in func_ids.items()}
     report = RecoveryReport()
@@ -241,7 +239,7 @@ def recover_tokens(logs, program, paths=None, bug=None, shared=None):
 
     bug_thread = bug.thread if bug is not None else None
     if shared is None:
-        shared = shared_variables(program)
+        shared = program.shared
     if bug_thread is not None and bug_thread not in recovered:
         report.notes.append(
             "failing thread %s did not survive recovery" % bug_thread

@@ -248,14 +248,15 @@ class BallLarus:
 
 @dataclass
 class ProgramPaths:
-    """Ball-Larus numberings for every function of a program."""
+    """Ball-Larus numberings for every function of a program.  A compiled
+    program keeps its own
+    (:attr:`~repro.minilang.compiler.CompiledProgram.paths`)."""
 
-    program: object
     by_func: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, program):
-        paths = cls(program=program)
+        paths = cls()
         for name, func in program.functions.items():
             paths.by_func[name] = BallLarus(func)
         return paths
