@@ -269,7 +269,7 @@ class IngestGateway:
             return {"status": "invalid", "reason": str(exc)}
         self.counters["ingested"] += 1
         _, _, material, signature = self.fleet.route(
-            source, config.memory_model, bug, logs
+            source, config.memory_model, bug, logs, ring
         )
         registry = self.fleet.registry()
         novel = registry.get(signature) is None

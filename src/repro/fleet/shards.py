@@ -246,11 +246,14 @@ class ShardedCorpus:
             }
         }
 
-    def route(self, source, memory_model, bug, logs):
+    def route(self, source, memory_model, bug, logs, ring=None):
         """Where a trace goes: ``(fingerprint, shard index, cluster
-        material, cluster signature)``."""
+        material, cluster signature)``; ``ring`` is a flight recording's
+        ring snapshot (see :func:`~repro.fleet.cluster.cluster_material`)."""
         fingerprint = AnalysisCache.trace_fingerprint(logs)
-        material = cluster_material(source_sha256(source), memory_model, bug, logs)
+        material = cluster_material(
+            source_sha256(source), memory_model, bug, logs, ring
+        )
         signature = cluster_signature(material)
         return fingerprint, self.shard_of(fingerprint), material, signature
 
@@ -268,7 +271,8 @@ class ShardedCorpus:
         config = config or ClapConfig()
         recorded = ClapPipeline(program, config).record()
         fingerprint, index, material, signature = self.route(
-            source, config.memory_model, recorded.bug, recorded.recorder.logs
+            source, config.memory_model, recorded.bug, recorded.recorder.logs,
+            recorded.ring,
         )
 
         corpus = self.shard(index)
@@ -300,7 +304,7 @@ class ShardedCorpus:
         shape as :meth:`add`.
         """
         fingerprint, index, material, signature = self.route(
-            source, config.memory_model, bug, logs
+            source, config.memory_model, bug, logs, ring
         )
         entry = self.shard(index).add_recorded(
             source,
