@@ -283,3 +283,19 @@ def test_in_search_and_lazy_order_checks_agree(trial):
         assert in_search.sat_stats["solve_calls"] == 1
         return
     pytest.skip("no assertion failure manifested for this fuzzed program")
+
+
+def test_reads_from_phase_picks_the_latest_write_before_the_read():
+    """A reads-from decision is true for the candidate write the
+    topological order places latest before its read, the initial value
+    (node -1) when no write precedes it; other variables keep their
+    saved phase."""
+    theory = OrderTheory(4, [(0, 1), (1, 2), (2, 3)])
+    theory.add_read(2, [(5, -1), (6, 0), (7, 1), (8, 3)])
+    assert [theory.phase(var, False) for var in (5, 6, 7, 8)] == [
+        False, False, True, False,
+    ]
+    theory.add_read(0, [(10, -1), (11, 1)])
+    assert theory.phase(10, False) is True
+    assert theory.phase(11, True) is False
+    assert theory.phase(9, True) is True
