@@ -44,7 +44,8 @@ from conftest import emit, pipeline_artifacts
 SCALING_SIZES = (4, 8, 12)
 MAX_SECONDS = 120
 # CI gate on the largest scaling size: the share of F's no-middle
-# clauses the lazy solver builds.  Measured: about 4% at size 12.
+# clauses the lazy solver builds.  Measured: 22.1% at size 12 (11.3% when
+# the search still decided order atoms).
 GATE_MAX_BUILT_SHARE = 0.25
 
 VOLATILE_FIELDS = ("wall_time", "time_symbolic", "time_solve", "worker_pid", "cache")
